@@ -4,22 +4,17 @@
 // object placement software" (§2.3). This is that software: pluggable
 // policies that decide where to put the next object, built entirely on the
 // public mobility primitives — nothing here has privileged access to the
-// runtime.
-//
-//   RoundRobinPlacer  — cycle through the nodes (static balance).
-//   LoadAwarePlacer   — least instantaneous load (busy CPUs + run-queue).
-//   WeightedPlacer    — proportional to per-node weights (heterogeneous use).
+// runtime. Subclass Placer and implement NextNode; RoundRobinPlacer cycles
+// through the nodes (static balance). Load-driven placement that moves
+// objects while the program runs lives in src/policy.
 //
 // Usage:
-//   LoadAwarePlacer placer;
+//   RoundRobinPlacer placer;
 //   auto section = placer.Place<Section>(args...);   // New + MoveTo
 
 #ifndef AMBER_SRC_CORE_PLACEMENT_H_
 #define AMBER_SRC_CORE_PLACEMENT_H_
 
-#include <vector>
-
-#include "src/base/panic.h"
 #include "src/core/amber.h"
 
 namespace amber {
@@ -55,61 +50,6 @@ class RoundRobinPlacer : public Placer {
 
  private:
   NodeId next_;
-};
-
-// Picks the node with the least instantaneous load (busy processors plus
-// run-queue length), breaking ties by lowest node id. Adaptive: placing a
-// compute-heavy object shifts subsequent placements elsewhere.
-class LoadAwarePlacer : public Placer {
- public:
-  NodeId NextNode() override {
-    Runtime& rt = Runtime::Current();
-    NodeId best = 0;
-    int best_load = -1;
-    for (NodeId n = 0; n < rt.nodes(); ++n) {
-      const int load = rt.sim().BusyProcessors(n) + rt.sim().RunQueueLength(n);
-      if (best_load < 0 || load < best_load) {
-        best = n;
-        best_load = load;
-      }
-    }
-    return best;
-  }
-};
-
-// Distributes placements proportionally to fixed weights — e.g. to favour
-// nodes with more memory or to keep a node half-idle for interactive work.
-class WeightedPlacer : public Placer {
- public:
-  explicit WeightedPlacer(std::vector<int> weights) : weights_(std::move(weights)) {
-    AMBER_CHECK(!weights_.empty());
-    for (int w : weights_) {
-      AMBER_CHECK(w >= 0);
-      total_ += w;
-    }
-    AMBER_CHECK(total_ > 0) << "all weights zero";
-    credits_.assign(weights_.size(), 0);
-  }
-
-  NodeId NextNode() override {
-    AMBER_CHECK(weights_.size() == static_cast<size_t>(Nodes()))
-        << "weight count must match node count";
-    // Largest-accumulated-credit first (smooth weighted round-robin).
-    size_t best = 0;
-    for (size_t n = 0; n < weights_.size(); ++n) {
-      credits_[n] += weights_[n];
-      if (credits_[n] > credits_[best]) {
-        best = n;
-      }
-    }
-    credits_[best] -= total_;
-    return static_cast<NodeId>(best);
-  }
-
- private:
-  std::vector<int> weights_;
-  std::vector<int64_t> credits_;
-  int total_ = 0;
 };
 
 }  // namespace amber

@@ -40,6 +40,7 @@ class Registry;
 namespace amber {
 
 class Object;
+class ThreadModel;
 class ThreadObject;
 
 // Stable identity of a thread on the event bus: the underlying fiber's
@@ -61,11 +62,13 @@ using ThreadId = uint64_t;
 //                    labelled local or remote;
 //   * contention   — lock wait/hold and condition wakeups (from core/sync),
 //                    request/response roundtrips (from rpc::Transport).
-// Every emission site is guarded, so an unattached runtime pays nothing.
+// Every event goes through one dispatch in Runtime, which short-circuits
+// when nothing is attached, so an unattached runtime pays one branch.
 //
 // Fan-out: several observers may be attached at once (AddObserver); each
 // event is delivered to all of them in attachment order, and removing one
 // mid-run does not change what the others see (tested in observer_test).
+// The same dispatch keeps the shared ThreadModel (thread_model.h) current.
 class RuntimeObserver {
  public:
   virtual ~RuntimeObserver() = default;
@@ -391,6 +394,11 @@ class Runtime {
   // the removed one had never been attached). No-op if not attached.
   void RemoveObserver(RuntimeObserver* observer);
 
+  // The per-thread state shared by every observer (see thread_model.h).
+  // Observers may keep the pointer past the runtime's end to read the
+  // final state after Run().
+  std::shared_ptr<const ThreadModel> thread_model() const { return model_; }
+
   // Attaches a metrics registry. The runtime pre-registers and fills the
   // core metric families (see docs/OBSERVABILITY.md for the catalogue):
   // invocation latency local/remote, migration counts/bytes/latency,
@@ -615,6 +623,13 @@ class Runtime {
   // attached; the pull is billed to the calling thread like any MoveTo.
   void MaybePolicyPull(Object* primary);
 
+  // The single emission point of the observer bus: delivers `hook(args...)`
+  // to every attached observer in attachment order, then applies it to the
+  // thread model, all under the observer_fanout wall timer. A no-op when no
+  // observer is attached.
+  template <typename... Params, typename... Args>
+  void Emit(void (RuntimeObserver::*hook)(Params...), const Args&... args);
+
   // Installs / removes the kernel, transport and network bridges according
   // to which sinks (observer_, metrics_) are attached.
   void UpdateInstrumentation();
@@ -642,9 +657,9 @@ class Runtime {
   int64_t thread_migrations_ = 0;
   int64_t forward_hops_ = 0;
   std::vector<int64_t> migration_matrix_;  // nodes x nodes, row = source
-  // Attached observers, in attachment (= delivery) order. Emission sites
-  // loop over this vector; an empty vector short-circuits to one branch.
+  // Attached observers, in attachment (= delivery) order; see Emit.
   std::vector<RuntimeObserver*> observers_;
+  std::shared_ptr<ThreadModel> model_;
   metrics::Registry* metrics_ = nullptr;
   fault::Injector* injector_ = nullptr;
   // Heartbeat/lease failure detector, created by SetFaultInjector for active

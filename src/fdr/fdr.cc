@@ -103,6 +103,7 @@ void Recorder::AttachTo(amber::Runtime& rt) {
   for (NodeId n = 0; n < rt.nodes(); ++n) {
     RingFor(n);
   }
+  model_ = rt.thread_model();
   rt.SetBlackBox(this);
 }
 
@@ -170,8 +171,6 @@ void Recorder::PublishMetrics(metrics::Registry* registry) {
   }
 }
 
-Recorder::ThreadLive& Recorder::Thread(ThreadId tid) { return threads_[tid]; }
-
 int Recorder::ObjectId(const void* obj) {
   auto it = obj_ids_.find(obj);
   if (it != obj_ids_.end()) {
@@ -193,85 +192,45 @@ void Recorder::TouchObject(int id, NodeId node, Time when) {
   }
 }
 
-void Recorder::SetStatus(ThreadId tid, Status status, Time when) {
-  ThreadLive& t = Thread(tid);
-  t.status = status;
-  t.since = when;
-}
-
-// --- Observer callbacks: encode + live state ---------------------------------
+// --- Observer callbacks: encode + tables --------------------------------------
 
 void Recorder::OnThreadCreate(Time when, NodeId node, ThreadId thread, const std::string& name,
                               ThreadId parent) {
   Append(EventType::kThreadCreate, when, node, static_cast<int64_t>(thread),
          static_cast<int64_t>(parent));
-  ThreadLive& t = Thread(thread);
-  t.name = name;
-  t.parent = parent;
-  t.node = node;
-  t.status = Status::kReady;
-  t.since = when;
 }
 
 void Recorder::OnThreadDispatch(Time when, NodeId node, ThreadId thread, Duration queue_wait) {
   Append(EventType::kThreadDispatch, when, node, static_cast<int64_t>(thread), queue_wait);
-  ThreadLive& t = Thread(thread);
-  t.node = node;
-  SetStatus(thread, Status::kRunning, when);
 }
 
 void Recorder::OnThreadBlock(Time when, NodeId node, ThreadId thread) {
   Append(EventType::kThreadBlock, when, node, static_cast<int64_t>(thread));
-  ThreadLive& t = Thread(thread);
-  t.node = node;
-  // Consume the armed fiber-context marker: it names what this block waits
-  // on (the profiler's cause-resolution protocol).
-  t.wait = t.pending;
-  t.wait_arg = t.pending_arg;
-  t.wait_node = t.pending_node;
-  t.pending = WaitKind::kNone;
-  t.pending_arg = 0;
-  t.pending_node = -1;
-  SetStatus(thread, Status::kBlocked, when);
 }
 
 void Recorder::OnThreadUnblock(Time when, NodeId node, ThreadId thread, ThreadId waker,
                                Time wake_time) {
   Append(EventType::kThreadUnblock, when, node, static_cast<int64_t>(thread),
          static_cast<int64_t>(waker), wake_time);
-  ThreadLive& t = Thread(thread);
-  t.node = node;
-  t.wait = WaitKind::kNone;
-  t.wait_arg = 0;
-  t.wait_node = -1;
-  SetStatus(thread, Status::kReady, when);
 }
 
 void Recorder::OnThreadPreempt(Time when, NodeId node, ThreadId thread) {
   Append(EventType::kThreadPreempt, when, node, static_cast<int64_t>(thread));
-  SetStatus(thread, Status::kReady, when);
 }
 
 void Recorder::OnThreadExit(Time when, NodeId node, ThreadId thread) {
   Append(EventType::kThreadExit, when, node, static_cast<int64_t>(thread));
-  SetStatus(thread, Status::kExited, when);
 }
 
 void Recorder::OnThreadJoin(Time when, NodeId node, ThreadId thread, ThreadId target) {
   Append(EventType::kThreadJoin, when, node, static_cast<int64_t>(thread),
          static_cast<int64_t>(target));
-  ThreadLive& t = Thread(thread);
-  t.pending = WaitKind::kJoin;
-  t.pending_arg = static_cast<int64_t>(target);
 }
 
 void Recorder::OnThreadMigrate(Time when, NodeId src, NodeId dst, ThreadId thread,
                                int64_t bytes) {
   Append(EventType::kThreadMigrate, when, src, static_cast<int64_t>(thread), bytes, 0, dst, 0,
          SpanOf(thread));
-  ThreadLive& t = Thread(thread);
-  t.pending = WaitKind::kMigration;
-  t.pending_node = dst;
 }
 
 void Recorder::OnInvokeEnter(Time when, NodeId node, ThreadId thread, const void* obj,
@@ -285,25 +244,17 @@ void Recorder::OnInvokeEnter(Time when, NodeId node, ThreadId thread, const void
   TouchObject(id, node, when);
   Append(EventType::kInvokeEnter, when, node, static_cast<int64_t>(thread), id, entry_overhead,
          origin, remote ? 1 : 0, SpanOf(thread));
-  Thread(thread).stack.push_back(id);
 }
 
 void Recorder::OnInvokeExit(Time when, NodeId node, ThreadId thread, Duration span, bool remote,
                             Duration exit_overhead) {
   Append(EventType::kInvokeExit, when, node, static_cast<int64_t>(thread), span, exit_overhead,
          0, remote ? 1 : 0, SpanOf(thread));
-  ThreadLive& t = Thread(thread);
-  if (!t.stack.empty()) {
-    t.stack.pop_back();
-  }
 }
 
 void Recorder::OnLockBlocked(Time when, NodeId node, ThreadId thread, int lock) {
   Append(EventType::kLockBlocked, when, node, static_cast<int64_t>(thread), 0, 0, lock, 0,
          SpanOf(thread));
-  ThreadLive& t = Thread(thread);
-  t.pending = WaitKind::kLock;
-  t.pending_arg = lock;
   locks_[lock].waiters.push_back(thread);
 }
 
@@ -314,7 +265,6 @@ void Recorder::OnLockAcquired(Time when, NodeId node, ThreadId thread, int lock,
   LockLive& l = locks_[lock];
   l.holder = thread;
   l.waiters.erase(std::remove(l.waiters.begin(), l.waiters.end(), thread), l.waiters.end());
-  Thread(thread).held_locks.push_back(lock);
 }
 
 void Recorder::OnLockReleased(Time when, NodeId node, ThreadId thread, int lock,
@@ -324,8 +274,6 @@ void Recorder::OnLockReleased(Time when, NodeId node, ThreadId thread, int lock,
   if (l.holder == thread) {
     l.holder = 0;
   }
-  auto& hl = Thread(thread).held_locks;
-  hl.erase(std::remove(hl.begin(), hl.end(), lock), hl.end());
 }
 
 void Recorder::OnConditionWake(Time when, NodeId node, int condition, int woken) {
@@ -337,12 +285,6 @@ void Recorder::OnRpcRequest(Time depart, NodeId src, NodeId dst, int64_t bytes, 
   Append(EventType::kRpcRequest, depart, src, static_cast<int64_t>(id), bytes,
          static_cast<int64_t>(requester), dst, 0, SpanOf(requester));
   rpcs_[id] = RpcLive{src, dst, bytes, requester, depart, 1};
-  if (requester != 0) {
-    ThreadLive& t = Thread(requester);
-    t.pending = WaitKind::kRpc;
-    t.pending_arg = static_cast<int64_t>(id);
-    t.pending_node = dst;
-  }
 }
 
 void Recorder::OnRpcResponse(Time when, Time reply_arrive, NodeId src, NodeId dst,
@@ -417,7 +359,6 @@ void Recorder::OnNodeRestart(Time when, NodeId node) {
 void Recorder::OnFailureBackoff(Time when, NodeId node, ThreadId thread, Duration backoff) {
   Append(EventType::kFailureBackoff, when, node, static_cast<int64_t>(thread), backoff, 0, 0, 0,
          SpanOf(thread));
-  Thread(thread).pending = WaitKind::kBackoff;
 }
 
 void Recorder::OnNodeSuspected(Time when, NodeId by, NodeId node) {
@@ -436,7 +377,6 @@ void Recorder::OnNodeTrusted(Time when, NodeId by, NodeId node) {
 void Recorder::OnRecoveryStart(Time when, NodeId node, ThreadId thread, const void* obj) {
   const int id = ObjectId(obj);
   Append(EventType::kRecoveryStart, when, node, static_cast<int64_t>(thread), id);
-  Thread(thread).in_recovery = true;
 }
 
 void Recorder::OnRecoveryEnd(Time when, NodeId node, ThreadId thread, const void* obj,
@@ -444,7 +384,6 @@ void Recorder::OnRecoveryEnd(Time when, NodeId node, ThreadId thread, const void
   const int id = ObjectId(obj);
   Append(EventType::kRecoveryEnd, when, node, static_cast<int64_t>(thread), id, 0, 0,
          ok ? 1 : 0);
-  Thread(thread).in_recovery = false;
 }
 
 void Recorder::OnObjectRecovered(Time when, const void* obj, NodeId from, NodeId to,
@@ -583,6 +522,57 @@ void Recorder::RenderEvent(std::ostream& out, const Record& r) const {
   out << "}";
 }
 
+void Recorder::RenderThread(std::ostream& out, ThreadId tid, const amber::ThreadModel::Thread& t,
+                            const std::vector<int>& extra_held) {
+  using Kind = amber::ThreadModel::Marker::Kind;
+  using RunState = amber::ThreadModel::RunState;
+  out << "\n    {\"thread\":" << tid << ",\"name\":\"";
+  EscapeJson(out, t.name);
+  out << "\",\"parent\":" << t.parent << ",\"node\":" << t.node << ",\"status\":\"";
+  switch (t.state) {
+    case RunState::kReady:   out << "ready"; break;
+    case RunState::kRunning: out << "running"; break;
+    case RunState::kBlocked: out << "blocked"; break;
+    case RunState::kExited:  out << "exited"; break;
+  }
+  // A blocked thread waits on the last marker armed before the block
+  // (retransmissions aside); each marker overwrites only the fields it
+  // carries.
+  const char* wait = "none";
+  int64_t wait_arg = 0;
+  NodeId wait_node = -1;
+  if (t.state == RunState::kBlocked) {
+    for (const amber::ThreadModel::Marker& m : t.markers) {
+      switch (m.kind) {
+        case Kind::kJoin:      wait = "join"; wait_arg = m.arg; break;
+        case Kind::kLock:      wait = "lock"; wait_arg = m.arg; break;
+        case Kind::kRpc:       wait = "rpc"; wait_arg = m.arg; wait_node = m.node; break;
+        case Kind::kMigration:
+        case Kind::kArrival:   wait = "migration"; wait_node = m.node; break;
+        case Kind::kBackoff:   wait = "backoff"; break;
+        case Kind::kRetry:     break;
+      }
+    }
+  }
+  out << "\",\"since_ns\":" << t.since << ",\"wait\":\"" << wait << "\",\"wait_arg\":" << wait_arg
+      << ",\"wait_node\":" << wait_node
+      << ",\"in_recovery\":" << (t.recovery > 0 ? "true" : "false") << ",\"held_locks\":[";
+  std::vector<int> held = t.locks;
+  for (int lock : extra_held) {
+    if (std::find(held.begin(), held.end(), lock) == held.end()) {
+      held.push_back(lock);
+    }
+  }
+  for (size_t i = 0; i < held.size(); ++i) {
+    out << (i == 0 ? "" : ",") << held[i];
+  }
+  out << "],\"stack\":[";
+  for (size_t i = 0; i < t.frames.size(); ++i) {
+    out << (i == 0 ? "" : ",") << ObjectId(t.frames[i].object);
+  }
+  out << "]}";
+}
+
 void Recorder::WriteDump(std::ostream& out, const std::string& reason,
                          const std::string& detail) {
   amber::Runtime* rt = amber::Runtime::CurrentOrNull();
@@ -681,47 +671,15 @@ void Recorder::WriteDump(std::ostream& out, const std::string& reason,
 
   // Per-thread state at time of death.
   out << "  \"threads\": [";
-  {
+  if (model_ != nullptr) {
     bool first = true;
-    for (const auto& [tid, t] : threads_) {
-      out << (first ? "" : ",") << "\n    {\"thread\":" << tid << ",\"name\":\"";
-      EscapeJson(out, t.name);
-      out << "\",\"parent\":" << t.parent << ",\"node\":" << t.node << ",\"status\":\"";
-      switch (t.status) {
-        case Status::kReady:   out << "ready"; break;
-        case Status::kRunning: out << "running"; break;
-        case Status::kBlocked: out << "blocked"; break;
-        case Status::kExited:  out << "exited"; break;
-      }
-      out << "\",\"since_ns\":" << t.since << ",\"wait\":\"";
-      switch (t.wait) {
-        case WaitKind::kNone:      out << "none"; break;
-        case WaitKind::kLock:      out << "lock"; break;
-        case WaitKind::kRpc:       out << "rpc"; break;
-        case WaitKind::kJoin:      out << "join"; break;
-        case WaitKind::kMigration: out << "migration"; break;
-        case WaitKind::kBackoff:   out << "backoff"; break;
-      }
-      out << "\",\"wait_arg\":" << t.wait_arg << ",\"wait_node\":" << t.wait_node
-          << ",\"in_recovery\":" << (t.in_recovery ? "true" : "false") << ",\"held_locks\":[";
-      std::vector<int> held = t.held_locks;
-      if (auto eit = extra_held.find(tid); eit != extra_held.end()) {
-        for (int lock : eit->second) {
-          if (std::find(held.begin(), held.end(), lock) == held.end()) {
-            held.push_back(lock);
-          }
-        }
-      }
-      for (size_t i = 0; i < held.size(); ++i) {
-        out << (i == 0 ? "" : ",") << held[i];
-      }
-      out << "],\"stack\":[";
-      for (size_t i = 0; i < t.stack.size(); ++i) {
-        out << (i == 0 ? "" : ",") << t.stack[i];
-      }
-      out << "]}";
+    static const std::vector<int> kNone;
+    model_->ForEach([&](ThreadId tid, const amber::ThreadModel::Thread& t) {
+      out << (first ? "" : ",");
+      auto eit = extra_held.find(tid);
+      RenderThread(out, tid, t, eit != extra_held.end() ? eit->second : kNone);
       first = false;
-    }
+    });
   }
   out << "\n  ],\n";
 

@@ -5,11 +5,13 @@
 // membership, recovery — into fixed-size per-node ring buffers of compact
 // 56-byte binary records (O(1) append, no allocation once the rings are
 // sized; an overwritten record counts as dropped). Alongside the rings it
-// maintains a small live-state model fed by the same events: what each
-// thread is doing and what it is blocked on, who holds and who waits on
+// keeps small tables fed by the same events: who holds and who waits on
 // every lock, which reliable roundtrips are in flight and how many times
 // they have been retransmitted, which objects were touched recently, and
-// each node's suspicion view.
+// each node's suspicion view. What each thread is doing, what it waits on
+// and what it holds come from the runtime's amber::ThreadModel; a blocked
+// thread's wait is named by the last cause marker armed before the block
+// (rpc retransmissions aside).
 //
 // On amber::Panic (failed AMBER_CHECK included), on injected-fault
 // divergence, or on an explicit Runtime::DumpBlackBox(path), WriteDump
@@ -38,6 +40,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <ostream>
 #include <set>
 #include <string>
@@ -45,6 +48,7 @@
 #include <vector>
 
 #include "src/core/runtime.h"
+#include "src/core/thread_model.h"
 
 namespace fdr {
 
@@ -209,29 +213,6 @@ class Recorder : public amber::BlackBox {
   };
 
   // --- Live state at time of death -------------------------------------------
-  enum class Status : uint8_t { kReady, kRunning, kBlocked, kExited };
-  enum class WaitKind : uint8_t { kNone, kLock, kRpc, kJoin, kMigration, kBackoff };
-
-  struct ThreadLive {
-    std::string name;
-    ThreadId parent = 0;
-    NodeId node = 0;
-    Status status = Status::kReady;
-    Time since = 0;  // last status change
-    // Active wait (valid while blocked) and the armed marker that becomes
-    // it at the next OnThreadBlock — same fiber-context marker protocol as
-    // the profiler's cause resolution.
-    WaitKind wait = WaitKind::kNone;
-    int64_t wait_arg = 0;    // lock id / rpc id / join target / dst node
-    NodeId wait_node = -1;   // rpc dst / migration dst
-    WaitKind pending = WaitKind::kNone;
-    int64_t pending_arg = 0;
-    NodeId pending_node = -1;
-    bool in_recovery = false;  // level-triggered recovery episode
-    std::vector<int> held_locks;  // acquisition order
-    std::vector<int> stack;       // object ids of open invocation frames
-  };
-
   struct LockLive {
     ThreadId holder = 0;  // 0 = free
     std::vector<ThreadId> waiters;
@@ -259,19 +240,20 @@ class Recorder : public amber::BlackBox {
   uint64_t SpanOf(ThreadId thread) const {
     return span_source_ && thread != 0 ? span_source_(thread) : 0;
   }
-  ThreadLive& Thread(ThreadId tid);
   int ObjectId(const void* obj);
   void TouchObject(int id, NodeId node, Time when);
-  void SetStatus(ThreadId tid, Status status, Time when);
 
   // Dump helpers (fdr.cc).
   void RenderEvent(std::ostream& out, const Record& r) const;
+  void RenderThread(std::ostream& out, ThreadId tid, const amber::ThreadModel::Thread& t,
+                    const std::vector<int>& extra_held);
 
   Config config_;
   std::vector<Ring> rings_;
   Time last_time_ = 0;
 
-  std::map<ThreadId, ThreadLive> threads_;
+  // The attached runtime's thread model (kept past the runtime's end).
+  std::shared_ptr<const amber::ThreadModel> model_;
   std::map<int, LockLive> locks_;
   std::map<uint64_t, RpcLive> rpcs_;
   std::map<NodeId, std::set<NodeId>> suspects_;  // viewer -> suspected peers

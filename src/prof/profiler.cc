@@ -35,17 +35,18 @@ constexpr int kStallLimit = 64;
 
 // --- Event recording --------------------------------------------------------------
 
-Profiler::ThreadState& Profiler::Ensure(ThreadId tid, Time when) {
+Profiler::ThreadSegs& Profiler::Ensure(ThreadId tid, Time when) {
   auto [it, inserted] = threads_.try_emplace(tid);
   if (inserted) {
-    it->second.name = "t" + std::to_string(tid);
-    it->second.create_time = when;
     it->second.cursor = when;
+    if (model_ == nullptr) {
+      model_ = amber::Runtime::Current().thread_model();
+    }
   }
   return it->second;
 }
 
-void Profiler::CloseSegment(ThreadState& st, Time when, SegKind kind, Cause cause, NodeId node,
+void Profiler::CloseSegment(ThreadSegs& st, Time when, SegKind kind, Cause cause, NodeId node,
                             int aux, ThreadId other, Time wake_time) {
   if (when <= st.cursor) {
     // Zero-length (or defensively, out-of-order) interval: nothing to tile.
@@ -68,51 +69,60 @@ void Profiler::CloseSegment(ThreadState& st, Time when, SegKind kind, Cause caus
   st.cursor = when;
 }
 
-void Profiler::CloseBlocked(ThreadState& st, ThreadId tid, Time when, NodeId node, ThreadId waker,
+void Profiler::CloseBlocked(ThreadSegs& st, ThreadId tid, Time when, NodeId node, ThreadId waker,
                             Time wake_time) {
-  // Resolve the wait's cause. Priority: explicit fiber-context markers first
-  // (they know *why* the thread blocked), then the waker's identity, then
-  // the network default.
+  // Resolve the wait's cause. Priority: the markers first (they know *why*
+  // the thread blocked), then the waker's identity, then the network
+  // default. A migration announced after arrival names no coming wait.
+  using Kind = amber::ThreadModel::Marker::Kind;
+  const amber::ThreadModel::Thread& m = model_->Get(tid);
+  auto armed = [&m](Kind kind) -> const amber::ThreadModel::Marker* {
+    for (auto it = m.markers.rbegin(); it != m.markers.rend(); ++it) {
+      if (it->kind == kind) {
+        return &*it;
+      }
+    }
+    return nullptr;
+  };
   Cause cause = Cause::kNet;
   int aux = 0;
   ThreadId other = 0;
   Time wt = 0;
-  if (st.pending_join != 0) {
+  if (const auto* join = armed(Kind::kJoin)) {
     cause = Cause::kJoin;
-    other = st.pending_join;
+    other = static_cast<ThreadId>(join->arg);
     wt = wake_time;
-    st.pending_join = 0;
-  } else if (st.pending_lock >= 0) {
+  } else if (m.lock >= 0) {
     cause = Cause::kLock;
-    aux = st.pending_lock;  // cleared by OnLockAcquired
-  } else if (st.pending_migrate) {
+    aux = m.lock;
+  } else if (armed(Kind::kMigration) != nullptr) {
     cause = Cause::kMigration;
-    st.pending_migrate = false;
-  } else if (st.pending_backoff) {
+  } else if (armed(Kind::kBackoff) != nullptr) {
     cause = Cause::kFault;
-    st.pending_backoff = false;
-  } else if (st.rpc_armed) {
+  } else if (m.rpc) {
     cause = Cause::kRpc;
-    aux = st.rpc_dst;
-    if (st.rpc_replied) {
-      // Roundtrip complete; a timeout wake keeps the marker armed for the
-      // retry that follows (OnRpcRetry then reclassifies this wait).
-      st.rpc_armed = false;
-      st.rpc_replied = false;
-    }
+    aux = m.rpc_dst;
   } else if (waker != 0 && waker != tid) {
     cause = Cause::kWake;
     other = waker;
     wt = wake_time;
   }
   // Inside a recovery episode every rpc/net wait is the recovery's cost —
-  // the probes and restores themselves — not ordinary service time. The
-  // marker bookkeeping above still ran, so nothing is left stale.
-  if (st.in_recovery && (cause == Cause::kRpc || cause == Cause::kNet)) {
+  // the probes and restores themselves — not ordinary service time.
+  if (m.recovery > 0 && (cause == Cause::kRpc || cause == Cause::kNet)) {
     cause = Cause::kRecovery;
     aux = 0;
   }
   CloseSegment(st, when, SegKind::kBlocked, cause, node, aux, other, wt);
+}
+
+void Profiler::MarkLastWaitFault(ThreadSegs& st) {
+  if (st.last_blocked >= 0) {
+    Segment& seg = st.segs[st.last_blocked];
+    if (seg.cause == Cause::kRpc || seg.cause == Cause::kNet) {
+      seg.cause = Cause::kFault;
+    }
+  }
 }
 
 int Profiler::ObjectId(const void* obj) {
@@ -126,77 +136,54 @@ int Profiler::ObjectId(const void* obj) {
 void Profiler::OnThreadCreate(Time when, NodeId node, ThreadId thread, const std::string& name,
                               ThreadId parent) {
   last_time_ = std::max(last_time_, when);
-  ThreadState& st = Ensure(thread, when);
-  st.name = name;
-  st.parent = parent;
-  st.node = node;
+  Ensure(thread, when);
 }
 
 void Profiler::OnThreadDispatch(Time when, NodeId node, ThreadId thread, Duration queue_wait) {
   (void)queue_wait;  // the queued segment [cursor, when] already covers it
   last_time_ = std::max(last_time_, when);
-  ThreadState& st = Ensure(thread, when);
-  CloseSegment(st, when, SegKind::kQueued, Cause::kNone, node);
-  st.status = Status::kRunning;
-  st.node = node;
+  CloseSegment(Ensure(thread, when), when, SegKind::kQueued, Cause::kNone, node);
 }
 
 void Profiler::OnThreadBlock(Time when, NodeId node, ThreadId thread) {
   last_time_ = std::max(last_time_, when);
-  ThreadState& st = Ensure(thread, when);
-  CloseSegment(st, when, SegKind::kRunning, Cause::kNone, node);
-  st.status = Status::kBlocked;
-  st.node = node;
+  CloseSegment(Ensure(thread, when), when, SegKind::kRunning, Cause::kNone, node);
 }
 
 void Profiler::OnThreadUnblock(Time when, NodeId node, ThreadId thread, ThreadId waker,
                                Time wake_time) {
   last_time_ = std::max(last_time_, when);
-  ThreadState& st = Ensure(thread, when);
-  CloseBlocked(st, thread, when, node, waker, wake_time);
-  st.status = Status::kReady;
-  st.node = node;
+  CloseBlocked(Ensure(thread, when), thread, when, node, waker, wake_time);
 }
 
 void Profiler::OnThreadPreempt(Time when, NodeId node, ThreadId thread) {
   last_time_ = std::max(last_time_, when);
-  ThreadState& st = Ensure(thread, when);
-  CloseSegment(st, when, SegKind::kRunning, Cause::kNone, node);
-  st.status = Status::kReady;
+  CloseSegment(Ensure(thread, when), when, SegKind::kRunning, Cause::kNone, node);
 }
 
 void Profiler::OnThreadExit(Time when, NodeId node, ThreadId thread) {
   last_time_ = std::max(last_time_, when);
-  ThreadState& st = Ensure(thread, when);
+  ThreadSegs& st = Ensure(thread, when);
   CloseSegment(st, when, SegKind::kRunning, Cause::kNone, node);
-  st.status = Status::kExited;
   st.exit_time = when;
   st.exit_seq = exit_counter_++;
-}
-
-void Profiler::OnThreadJoin(Time when, NodeId node, ThreadId thread, ThreadId target) {
-  (void)node;
-  ThreadState& st = Ensure(thread, when);
-  st.pending_join = target;
 }
 
 void Profiler::OnThreadMigrate(Time when, NodeId src, NodeId dst, ThreadId thread,
                                int64_t bytes) {
   (void)bytes;
   last_time_ = std::max(last_time_, when);
-  ThreadState& st = Ensure(thread, when);
-  if (st.node == dst && st.last_blocked >= 0) {
+  ThreadSegs& st = Ensure(thread, when);
+  if (model_->Get(thread).node == dst && st.last_blocked >= 0) {
     // Reliable-mode travel announces the migration *after* arrival (the
     // thread already runs on dst): the wait it just finished was the
     // transit. Failed attempts were already reclassified by OnRpcRetry.
+    // (Lossless mode announces before departure, and the model's marker
+    // names the *next* wait.)
     Segment& seg = st.segs[st.last_blocked];
     if (seg.cause == Cause::kNet) {
       seg.cause = Cause::kMigration;
     }
-  } else {
-    // Lossless mode announces before departure (still running on src): the
-    // *next* blocked interval is the transit.
-    st.pending_migrate = true;
   }
 }
 
@@ -204,8 +191,7 @@ void Profiler::OnInvokeEnter(Time when, NodeId node, ThreadId thread, const void
                              const std::string& object, bool remote, NodeId origin,
                              Duration entry_overhead) {
   last_time_ = std::max(last_time_, when);
-  const int id = ObjectId(obj);
-  ObjectAgg& agg = objects_[id];
+  ObjectAgg& agg = objects_[ObjectId(obj)];
   agg.label = object;
   agg.home = node;
   ++agg.invocations;
@@ -214,8 +200,7 @@ void Profiler::OnInvokeEnter(Time when, NodeId node, ThreadId thread, const void
     ++agg.remote_invocations;
     agg.overhead_by_origin[origin] += entry_overhead;
   }
-  ThreadState& st = Ensure(thread, when);
-  st.frames.push_back(ThreadState::Frame{id, origin, remote});
+  Ensure(thread, when);
 }
 
 void Profiler::OnInvokeExit(Time when, NodeId node, ThreadId thread, Duration span, bool remote,
@@ -224,28 +209,21 @@ void Profiler::OnInvokeExit(Time when, NodeId node, ThreadId thread, Duration sp
   (void)span;
   (void)remote;
   last_time_ = std::max(last_time_, when);
-  ThreadState& st = Ensure(thread, when);
-  if (st.frames.empty()) {
+  Ensure(thread, when);
+  const amber::ThreadModel::Thread& m = model_->Get(thread);
+  if (m.frames.empty()) {
     return;  // enter predates attachment
   }
-  const ThreadState::Frame f = st.frames.back();
-  st.frames.pop_back();
+  const amber::ThreadModel::Frame& f = m.frames.back();  // still open: the model lags the event
   if (f.remote) {
-    objects_[f.obj].overhead_by_origin[f.origin] += exit_overhead;
+    objects_[ObjectId(f.object)].overhead_by_origin[f.origin] += exit_overhead;
   }
-}
-
-void Profiler::OnLockBlocked(Time when, NodeId node, ThreadId thread, int lock) {
-  (void)node;
-  ThreadState& st = Ensure(thread, when);
-  st.pending_lock = lock;
 }
 
 void Profiler::OnLockAcquired(Time when, NodeId node, ThreadId thread, int lock, Duration wait) {
   (void)node;
   last_time_ = std::max(last_time_, when);
-  ThreadState& st = Ensure(thread, when);
-  st.pending_lock = -1;
+  Ensure(thread, when);
   LockAgg& l = locks_[lock];
   ++l.acquisitions;
   l.wait_ns += wait;
@@ -261,88 +239,26 @@ void Profiler::OnLockReleased(Time when, NodeId node, ThreadId thread, int lock,
 
 void Profiler::OnRpcRequest(Time depart, NodeId src, NodeId dst, int64_t bytes, uint64_t id,
                             ThreadId requester) {
-  (void)src;
-  (void)bytes;
   last_time_ = std::max(last_time_, depart);
-  ThreadState& st = Ensure(requester, depart);
-  st.rpc_armed = true;
-  st.rpc_replied = false;
-  st.rpc_dst = dst;
-  rpc_requester_[id] = requester;
+  Ensure(requester, depart);
 }
 
 void Profiler::OnRpcResponse(Time when, Time reply_arrive, NodeId src, NodeId dst, int64_t bytes,
                              uint64_t id) {
-  (void)src;
-  (void)dst;
-  (void)bytes;
   last_time_ = std::max(last_time_, std::max(when, reply_arrive));
-  const auto it = rpc_requester_.find(id);
-  if (it == rpc_requester_.end()) {
-    return;
-  }
-  const auto tit = threads_.find(it->second);
-  if (tit != threads_.end() && tit->second.rpc_armed) {
-    tit->second.rpc_replied = true;
-  }
-  rpc_requester_.erase(it);
 }
 
 void Profiler::OnRpcRetry(Time when, NodeId src, NodeId dst, uint64_t id, int attempt,
                           ThreadId requester) {
-  (void)src;
-  (void)dst;
-  (void)id;
-  (void)attempt;
   last_time_ = std::max(last_time_, when);
-  ThreadState& st = Ensure(requester, when);
-  if (st.last_blocked >= 0) {
-    // The wait that just ended was a timeout, not a service: fault-induced.
-    Segment& seg = st.segs[st.last_blocked];
-    if (seg.cause == Cause::kRpc || seg.cause == Cause::kNet) {
-      seg.cause = Cause::kFault;
-    }
-  }
+  // The wait that just ended was a timeout, not a service: fault-induced.
+  MarkLastWaitFault(Ensure(requester, when));
 }
 
 void Profiler::OnRpcTimeout(Time when, NodeId src, NodeId dst, uint64_t id, int attempts,
                             ThreadId requester) {
-  (void)src;
-  (void)dst;
-  (void)id;
-  (void)attempts;
   last_time_ = std::max(last_time_, when);
-  ThreadState& st = Ensure(requester, when);
-  if (st.last_blocked >= 0) {
-    Segment& seg = st.segs[st.last_blocked];
-    if (seg.cause == Cause::kRpc || seg.cause == Cause::kNet) {
-      seg.cause = Cause::kFault;
-    }
-  }
-  st.rpc_armed = false;
-  st.rpc_replied = false;
-}
-
-void Profiler::OnFailureBackoff(Time when, NodeId node, ThreadId thread, Duration backoff) {
-  (void)node;
-  (void)backoff;
-  ThreadState& st = Ensure(thread, when);
-  st.pending_backoff = true;
-}
-
-void Profiler::OnRecoveryStart(Time when, NodeId node, ThreadId thread, const void* obj) {
-  (void)node;
-  (void)obj;
-  last_time_ = std::max(last_time_, when);
-  Ensure(thread, when).in_recovery = true;
-}
-
-void Profiler::OnRecoveryEnd(Time when, NodeId node, ThreadId thread, const void* obj, bool ok) {
-  (void)node;
-  (void)obj;
-  (void)ok;
-  last_time_ = std::max(last_time_, when);
-  Ensure(thread, when).in_recovery = false;
+  MarkLastWaitFault(Ensure(requester, when));
 }
 
 void Profiler::OnObjectMove(Time when, const void* obj, NodeId src, NodeId dst, int64_t bytes) {
@@ -355,16 +271,12 @@ void Profiler::OnObjectMove(Time when, const void* obj, NodeId src, NodeId dst, 
 }
 
 void Profiler::OnMessage(Time depart, Time arrive, NodeId src, NodeId dst, int64_t bytes) {
-  (void)depart;
-  (void)src;
-  (void)dst;
-  (void)bytes;
   last_time_ = std::max(last_time_, arrive);
 }
 
 // --- Extraction --------------------------------------------------------------------
 
-int Profiler::SegmentBefore(const ThreadState& st, Time t) const {
+int Profiler::SegmentBefore(const ThreadSegs& st, Time t) const {
   // Last segment with start < t (binary search over the sorted tiling).
   int lo = 0;
   int hi = static_cast<int>(st.segs.size());
@@ -384,19 +296,20 @@ ProfileReport Profiler::Finalize() {
   r.total_ns = last_time_;
 
   // Close segments still open at the horizon (threads that never exited).
+  using RunState = amber::ThreadModel::RunState;
   for (auto& [tid, st] : threads_) {
-    if (st.status == Status::kExited) {
-      continue;
-    }
-    switch (st.status) {
-      case Status::kRunning:
-        CloseSegment(st, last_time_, SegKind::kRunning, Cause::kNone, st.node);
+    const amber::ThreadModel::Thread& m = model_->Get(tid);
+    switch (m.state) {
+      case RunState::kExited:
         break;
-      case Status::kBlocked:
-        CloseBlocked(st, tid, last_time_, st.node, /*waker=*/0, /*wake_time=*/0);
+      case RunState::kRunning:
+        CloseSegment(st, last_time_, SegKind::kRunning, Cause::kNone, m.node);
         break;
-      default:
-        CloseSegment(st, last_time_, SegKind::kQueued, Cause::kNone, st.node);
+      case RunState::kBlocked:
+        CloseBlocked(st, tid, last_time_, m.node, /*waker=*/0, /*wake_time=*/0);
+        break;
+      case RunState::kReady:
+        CloseSegment(st, last_time_, SegKind::kQueued, Cause::kNone, m.node);
         break;
     }
   }
@@ -488,13 +401,14 @@ ProfileReport Profiler::Finalize() {
       attribute("rpc.net", 0);
       break;
     }
-    const ThreadState& st = it->second;
+    const ThreadSegs& st = it->second;
     const int si = SegmentBefore(st, cursor);
     if (si < 0) {
       // At or before this thread's creation: follow the creation edge (the
       // parent was running CreateThread at this instant).
-      if (st.parent != 0 && threads_.count(st.parent) != 0 && !forced) {
-        t = st.parent;
+      const ThreadId parent = model_->Get(t).parent;
+      if (parent != 0 && threads_.count(parent) != 0 && !forced) {
+        t = parent;
         continue;
       }
       attribute("rpc.net", 0);
@@ -666,11 +580,11 @@ ProfileReport Profiler::Finalize() {
 }
 
 void Profiler::Reset() {
+  model_.reset();
   threads_.clear();
   obj_ids_.clear();
   objects_.clear();
   locks_.clear();
-  rpc_requester_.clear();
   last_time_ = 0;
   exit_counter_ = 0;
 }

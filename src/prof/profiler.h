@@ -6,9 +6,10 @@
 // with a *cause* (waiting for a lock held elsewhere, waiting for an RPC
 // served by node N including retry/timeout episodes, in migration transit,
 // fault-induced backoff, or a generic wake by another thread). Causes are
-// resolved from fiber-context markers that the runtime emits before each
-// block (OnLockBlocked, OnThreadJoin, OnRpcRequest, OnFailureBackoff,
-// OnThreadMigrate) plus the waker identity carried on OnThreadUnblock.
+// resolved from the runtime's shared amber::ThreadModel — the cause markers
+// armed before each block plus the waker identity carried on
+// OnThreadUnblock — by a priority rule: join, then lock, migration,
+// backoff, rpc, waker (CloseBlocked).
 //
 // Finalize() extracts the virtual-time critical path: a backward walk from
 // the last thread exit that, at every blocked segment, either attributes the
@@ -46,11 +47,13 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
 
 #include "src/core/runtime.h"
+#include "src/core/thread_model.h"
 
 namespace prof {
 
@@ -131,7 +134,6 @@ class Profiler : public amber::RuntimeObserver {
                        Time wake_time) override;
   void OnThreadPreempt(Time when, NodeId node, ThreadId thread) override;
   void OnThreadExit(Time when, NodeId node, ThreadId thread) override;
-  void OnThreadJoin(Time when, NodeId node, ThreadId thread, ThreadId target) override;
   void OnThreadMigrate(Time when, NodeId src, NodeId dst, ThreadId thread,
                        int64_t bytes) override;
 
@@ -141,7 +143,6 @@ class Profiler : public amber::RuntimeObserver {
   void OnInvokeExit(Time when, NodeId node, ThreadId thread, Duration span, bool remote,
                     Duration exit_overhead) override;
 
-  void OnLockBlocked(Time when, NodeId node, ThreadId thread, int lock) override;
   void OnLockAcquired(Time when, NodeId node, ThreadId thread, int lock, Duration wait) override;
   void OnLockReleased(Time when, NodeId node, ThreadId thread, int lock, Duration held) override;
 
@@ -153,9 +154,6 @@ class Profiler : public amber::RuntimeObserver {
                   ThreadId requester) override;
   void OnRpcTimeout(Time when, NodeId src, NodeId dst, uint64_t id, int attempts,
                     ThreadId requester) override;
-  void OnFailureBackoff(Time when, NodeId node, ThreadId thread, Duration backoff) override;
-  void OnRecoveryStart(Time when, NodeId node, ThreadId thread, const void* obj) override;
-  void OnRecoveryEnd(Time when, NodeId node, ThreadId thread, const void* obj, bool ok) override;
 
   void OnObjectMove(Time when, const void* obj, NodeId src, NodeId dst, int64_t bytes) override;
   void OnMessage(Time depart, Time arrive, NodeId src, NodeId dst, int64_t bytes) override;
@@ -194,39 +192,13 @@ class Profiler : public amber::RuntimeObserver {
     Time wake_time = 0;  // when the waker called Wake (kWake / kJoin)
   };
 
-  enum class Status : uint8_t { kReady, kRunning, kBlocked, kExited };
-
-  struct ThreadState {
-    std::string name;
-    ThreadId parent = 0;
-    Time create_time = 0;
+  // A thread's tiling; its status, markers and frames live in the model.
+  struct ThreadSegs {
     Time exit_time = 0;
     int64_t exit_seq = -1;  // -1: has not exited
-    NodeId node = 0;
-    Status status = Status::kReady;
     Time cursor = 0;  // start of the currently open segment
     std::vector<Segment> segs;
     int last_blocked = -1;  // index of the most recently closed blocked seg
-
-    // Cause markers armed from fiber context before the next block.
-    int pending_lock = -1;
-    ThreadId pending_join = 0;
-    bool pending_migrate = false;
-    bool pending_backoff = false;
-    // Level-triggered (not one-shot like the others): every block between
-    // OnRecoveryStart and OnRecoveryEnd belongs to the recovery episode.
-    bool in_recovery = false;
-    bool rpc_armed = false;
-    bool rpc_replied = false;
-    NodeId rpc_dst = 0;
-
-    // Open invocation frames: {object id, origin node, remote}.
-    struct Frame {
-      int obj = 0;
-      NodeId origin = 0;
-      bool remote = false;
-    };
-    std::vector<Frame> frames;
   };
 
   struct ObjectAgg {
@@ -246,22 +218,26 @@ class Profiler : public amber::RuntimeObserver {
     Time max_wait_ns = 0;
   };
 
-  ThreadState& Ensure(ThreadId tid, Time when);
-  void CloseSegment(ThreadState& st, Time when, SegKind kind, Cause cause, NodeId node,
+  // Also fetches the model from the running runtime with the first thread
+  // and keeps it, so Finalize can read it after the runtime is gone.
+  ThreadSegs& Ensure(ThreadId tid, Time when);
+  void CloseSegment(ThreadSegs& st, Time when, SegKind kind, Cause cause, NodeId node,
                     int aux = 0, ThreadId other = 0, Time wake_time = 0);
-  // Resolves the armed cause markers for a block that ends at `when`.
-  void CloseBlocked(ThreadState& st, ThreadId tid, Time when, NodeId node, ThreadId waker,
+  // Resolves the cause of a block that ends at `when` from the model.
+  void CloseBlocked(ThreadSegs& st, ThreadId tid, Time when, NodeId node, ThreadId waker,
                     Time wake_time);
+  // Reclassifies the block that just ended as fault-induced (a timeout).
+  void MarkLastWaitFault(ThreadSegs& st);
   int ObjectId(const void* obj);
   // Index of the segment containing t (start < t <= end), or the last
   // segment before t (gap), or -1 if t is at/before the first segment.
-  int SegmentBefore(const ThreadState& st, Time t) const;
+  int SegmentBefore(const ThreadSegs& st, Time t) const;
 
-  std::map<ThreadId, ThreadState> threads_;
+  std::shared_ptr<const amber::ThreadModel> model_;
+  std::map<ThreadId, ThreadSegs> threads_;
   std::map<const void*, int> obj_ids_;
   std::vector<ObjectAgg> objects_;      // by dense id
   std::map<int, LockAgg> locks_;        // by lock id
-  std::map<uint64_t, ThreadId> rpc_requester_;  // rpc id -> blocked thread
   Time last_time_ = 0;
   int64_t exit_counter_ = 0;
 };

@@ -78,6 +78,7 @@ Tracer::Tracer(TraceConfig config) : config_(std::move(config)) {}
 
 void Tracer::AttachTo(amber::Runtime& rt) {
   rt_ = &rt;
+  model_ = rt.thread_model();
   rt.AddObserver(this);
   rt.transport().SetTraceHook(this);
 }
@@ -173,23 +174,27 @@ void Tracer::CloseSegment(ThreadCtx& ctx, Time when, const char* category) {
   ctx.seg_start = when;
 }
 
-const char* Tracer::BlockedCategory(const ThreadCtx& ctx) const {
-  if (ctx.recovery_depth > 0) {
+const char* Tracer::BlockedCategory(const amber::ThreadModel::Thread& t) {
+  using Kind = amber::ThreadModel::Marker::Kind;
+  if (t.recovery > 0) {
     return "recovery";
   }
-  switch (ctx.blocked_cause) {
-    case Cause::kRpc:
+  if (t.markers.empty()) {
+    return "other";
+  }
+  switch (t.markers.back().kind) {
+    case Kind::kRpc:
       return "rpc";
-    case Cause::kRetry:
+    case Kind::kRetry:
+    case Kind::kBackoff:
       return "retry";
-    case Cause::kLock:
+    case Kind::kLock:
       return "lock";
-    case Cause::kMigration:
+    case Kind::kMigration:
+    case Kind::kArrival:
       return "migration";
-    case Cause::kJoin:
+    case Kind::kJoin:
       return "join";
-    case Cause::kOther:
-      break;
   }
   return "other";
 }
@@ -273,7 +278,6 @@ void Tracer::OnThreadCreate(Time when, NodeId node, ThreadId thread, const std::
     ThreadCtx& ctx = threads_[thread];
     ctx.trace_id = req.trace_id;
     ctx.is_root = true;
-    ctx.state = RunState::kQueued;
     ctx.seg_start = when;
     Span root;
     root.id = next_span_id_++;
@@ -316,63 +320,57 @@ void Tracer::OnThreadDispatch(Time when, NodeId node, ThreadId thread, Duration 
     }
     ctx->open_migration_span = 0;
   }
-  if (!ctx->is_root) {
-    return;
-  }
-  if (ctx->state == RunState::kQueued) {
+  if (ctx->is_root && model_->Get(thread).state == amber::ThreadModel::RunState::kReady) {
     CloseSegment(*ctx, when, "queue");
   }
-  ctx->state = RunState::kRunning;
 }
 
 void Tracer::OnThreadBlock(Time when, NodeId node, ThreadId thread) {
   ThreadCtx* ctx = Ctx(thread);
-  if (ctx == nullptr || !ctx->is_root) {
-    return;
+  if (ctx != nullptr && ctx->is_root) {
+    CloseSegment(*ctx, when, "compute");
   }
-  CloseSegment(*ctx, when, "compute");
-  ctx->state = RunState::kBlocked;
-  ctx->blocked_cause = ctx->pending;
-  ctx->pending = Cause::kOther;
 }
 
 void Tracer::OnThreadUnblock(Time when, NodeId node, ThreadId thread, ThreadId waker,
                              Time wake_time) {
   ThreadCtx* ctx = Ctx(thread);
-  if (ctx == nullptr || !ctx->is_root || ctx->state != RunState::kBlocked) {
+  if (ctx == nullptr || !ctx->is_root) {
     return;
   }
-  CloseSegment(*ctx, when, BlockedCategory(*ctx));
-  ctx->blocked_cause = Cause::kOther;
-  ctx->state = RunState::kQueued;
+  const amber::ThreadModel::Thread& t = model_->Get(thread);
+  if (t.state == amber::ThreadModel::RunState::kBlocked) {
+    CloseSegment(*ctx, when, BlockedCategory(t));
+  }
 }
 
 void Tracer::OnThreadPreempt(Time when, NodeId node, ThreadId thread) {
   ThreadCtx* ctx = Ctx(thread);
-  if (ctx == nullptr || !ctx->is_root) {
-    return;
-  }
-  if (ctx->state == RunState::kRunning) {
+  if (ctx != nullptr && ctx->is_root &&
+      model_->Get(thread).state == amber::ThreadModel::RunState::kRunning) {
     CloseSegment(*ctx, when, "compute");
   }
-  ctx->state = RunState::kQueued;
 }
 
 void Tracer::OnThreadExit(Time when, NodeId node, ThreadId thread) {
+  using RunState = amber::ThreadModel::RunState;
   ThreadCtx* ctx = Ctx(thread);
   if (ctx == nullptr) {
     return;
   }
   if (ctx->is_root) {
-    switch (ctx->state) {
+    const amber::ThreadModel::Thread& t = model_->Get(thread);
+    switch (t.state) {
       case RunState::kRunning:
         CloseSegment(*ctx, when, "compute");
         break;
-      case RunState::kQueued:
+      case RunState::kReady:
         CloseSegment(*ctx, when, "queue");
         break;
       case RunState::kBlocked:
-        CloseSegment(*ctx, when, BlockedCategory(*ctx));
+        CloseSegment(*ctx, when, BlockedCategory(t));
+        break;
+      case RunState::kExited:
         break;
     }
     FinishTrace(*ctx, when);
@@ -391,13 +389,6 @@ void Tracer::OnThreadExit(Time when, NodeId node, ThreadId thread) {
   threads_.erase(thread);
 }
 
-void Tracer::OnThreadJoin(Time when, NodeId node, ThreadId thread, ThreadId target) {
-  ThreadCtx* ctx = Ctx(thread);
-  if (ctx != nullptr && ctx->is_root) {
-    ctx->pending = Cause::kJoin;
-  }
-}
-
 void Tracer::OnThreadMigrate(Time when, NodeId src, NodeId dst, ThreadId thread,
                              int64_t bytes) {
   ThreadCtx* ctx = Ctx(thread);
@@ -406,9 +397,6 @@ void Tracer::OnThreadMigrate(Time when, NodeId src, NodeId dst, ThreadId thread,
   }
   ctx->open_migration_span =
       AddSpan(*ctx, SpanKind::kMigration, when, 0, src, thread, "", dst);
-  if (ctx->is_root) {
-    ctx->pending = Cause::kMigration;
-  }
 }
 
 void Tracer::OnInvokeEnter(Time when, NodeId node, ThreadId thread, const void* obj,
@@ -440,13 +428,6 @@ void Tracer::OnInvokeExit(Time when, NodeId node, ThreadId thread, Duration span
   ctx->span_stack.pop_back();
 }
 
-void Tracer::OnLockBlocked(Time when, NodeId node, ThreadId thread, int lock) {
-  ThreadCtx* ctx = Ctx(thread);
-  if (ctx != nullptr && ctx->is_root) {
-    ctx->pending = Cause::kLock;
-  }
-}
-
 void Tracer::OnLockAcquired(Time when, NodeId node, ThreadId thread, int lock, Duration wait) {
   ThreadCtx* ctx = Ctx(thread);
   if (ctx == nullptr || wait <= 0) {
@@ -464,9 +445,6 @@ void Tracer::OnRpcRequest(Time depart, NodeId src, NodeId dst, int64_t bytes, ui
   const uint64_t span = AddSpan(*ctx, SpanKind::kRpc, depart, 0, src, requester, "", dst);
   if (span != 0) {
     open_rpcs_[id] = {ctx->trace_id, span};
-  }
-  if (ctx->is_root) {
-    ctx->pending = Cause::kRpc;
   }
 }
 
@@ -498,13 +476,6 @@ void Tracer::OnRpcRetry(Time when, NodeId src, NodeId dst, uint64_t id, int atte
       }
     }
   }
-  // The retry fires in fiber context between the timeout wake and the next
-  // block, so it marks the *coming* wait: attempt-0 waits count as "rpc",
-  // every retransmission wait as "retry".
-  ThreadCtx* ctx = Ctx(requester);
-  if (ctx != nullptr && ctx->is_root && ctx->state != RunState::kBlocked) {
-    ctx->pending = Cause::kRetry;
-  }
 }
 
 void Tracer::OnRpcTimeout(Time when, NodeId src, NodeId dst, uint64_t id, int attempts,
@@ -531,9 +502,6 @@ void Tracer::OnFailureBackoff(Time when, NodeId node, ThreadId thread, Duration 
     return;
   }
   AddSpan(*ctx, SpanKind::kBackoff, when, when + backoff, node, thread, "", 0);
-  if (ctx->is_root) {
-    ctx->pending = Cause::kRetry;
-  }
 }
 
 void Tracer::OnRecoveryStart(Time when, NodeId node, ThreadId thread, const void* obj) {
@@ -541,17 +509,17 @@ void Tracer::OnRecoveryStart(Time when, NodeId node, ThreadId thread, const void
   if (ctx == nullptr) {
     return;
   }
-  if (ctx->recovery_depth++ == 0) {
+  if (model_->Get(thread).recovery == 0) {  // the outermost bracket opens the span
     ctx->open_recovery_span = AddSpan(*ctx, SpanKind::kRecovery, when, 0, node, thread, "", 0);
   }
 }
 
 void Tracer::OnRecoveryEnd(Time when, NodeId node, ThreadId thread, const void* obj, bool ok) {
   ThreadCtx* ctx = Ctx(thread);
-  if (ctx == nullptr || ctx->recovery_depth == 0) {
+  if (ctx == nullptr) {
     return;
   }
-  if (--ctx->recovery_depth == 0 && ctx->open_recovery_span != 0) {
+  if (model_->Get(thread).recovery == 1 && ctx->open_recovery_span != 0) {
     Trace* t = TraceOf(*ctx);
     if (t != nullptr) {
       Span* s = FindSpan(*t, ctx->open_recovery_span);

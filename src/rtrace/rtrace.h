@@ -31,10 +31,11 @@
 //     attribution: every nanosecond between thread creation and thread
 //     exit lands in exactly one of {queue, compute, rpc, retry, lock,
 //     migration, join, recovery, other}, driven by the scheduler's
-//     dispatch/block/unblock/preempt events and the same fiber-context
-//     cause markers the profiler and flight recorder use. The category
-//     sums equal the request's end-to-end latency by construction —
-//     amber-tail asserts it when rendering.
+//     dispatch/block/unblock/preempt events. A block is named by the last
+//     cause marker armed before it in the runtime's amber::ThreadModel
+//     (backoffs and rpc retransmissions both count as "retry"). The
+//     category sums equal the request's end-to-end latency by
+//     construction — amber-tail asserts it when rendering.
 //
 // Pair with metrics exemplars: record request latency via
 // Histogram::Record(latency, tracer.CurrentTraceId()) and the histogram's
@@ -52,12 +53,14 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "src/core/runtime.h"
+#include "src/core/thread_model.h"
 #include "src/rpc/transport.h"
 
 namespace rtrace {
@@ -206,7 +209,6 @@ class Tracer : public amber::RuntimeObserver, public rpc::TraceHook {
                        Time wake_time) override;
   void OnThreadPreempt(Time when, NodeId node, ThreadId thread) override;
   void OnThreadExit(Time when, NodeId node, ThreadId thread) override;
-  void OnThreadJoin(Time when, NodeId node, ThreadId thread, ThreadId target) override;
   void OnThreadMigrate(Time when, NodeId src, NodeId dst, ThreadId thread,
                        int64_t bytes) override;
   void OnInvokeEnter(Time when, NodeId node, ThreadId thread, const void* obj,
@@ -215,7 +217,6 @@ class Tracer : public amber::RuntimeObserver, public rpc::TraceHook {
   void OnInvokeExit(Time when, NodeId node, ThreadId thread, Duration span, bool remote,
                     Duration exit_overhead) override;
   void OnLockAcquired(Time when, NodeId node, ThreadId thread, int lock, Duration wait) override;
-  void OnLockBlocked(Time when, NodeId node, ThreadId thread, int lock) override;
   void OnRpcRequest(Time depart, NodeId src, NodeId dst, int64_t bytes, uint64_t id,
                     ThreadId requester) override;
   void OnRpcResponse(Time when, Time reply_arrive, NodeId src, NodeId dst, int64_t bytes,
@@ -229,29 +230,13 @@ class Tracer : public amber::RuntimeObserver, public rpc::TraceHook {
   void OnRecoveryEnd(Time when, NodeId node, ThreadId thread, const void* obj, bool ok) override;
 
  private:
-  // What a blocked (or about-to-block) segment of the root thread is for —
-  // armed in fiber context right before the block, consumed at the block
-  // (the profiler's marker protocol).
-  enum class Cause : uint8_t {
-    kOther,
-    kRpc,
-    kRetry,  // rpc retransmission waits + failure backoffs
-    kLock,
-    kMigration,
-    kJoin,
-  };
-  enum class RunState : uint8_t { kQueued, kRunning, kBlocked };
-
+  // A traced thread's spans; the root also tiles its lifetime. Its run
+  // state and cause markers live in the runtime's thread model.
   struct ThreadCtx {
     uint64_t trace_id = 0;
     bool is_root = false;
     std::vector<uint64_t> span_stack;  // open invoke spans; [0] = base span
-    // Root-thread attribution machinery.
-    RunState state = RunState::kQueued;
-    Time seg_start = 0;
-    Cause pending = Cause::kOther;
-    Cause blocked_cause = Cause::kOther;
-    int recovery_depth = 0;
+    Time seg_start = 0;                // root: start of the open attribution segment
     uint64_t open_migration_span = 0;  // close at the next dispatch
     uint64_t open_recovery_span = 0;
   };
@@ -270,12 +255,14 @@ class Tracer : public amber::RuntimeObserver, public rpc::TraceHook {
   // Closes the root thread's current attribution segment at `when` under
   // `category` and opens the next one.
   void CloseSegment(ThreadCtx& ctx, Time when, const char* category);
-  const char* BlockedCategory(const ThreadCtx& ctx) const;
+  // Names a block: recovery, else the last marker armed before it.
+  static const char* BlockedCategory(const amber::ThreadModel::Thread& t);
   void FinishTrace(ThreadCtx& ctx, Time when);
   void EvictIfOverCapacity();
 
   TraceConfig config_;
   amber::Runtime* rt_ = nullptr;
+  std::shared_ptr<const amber::ThreadModel> model_;
   std::map<uint64_t, Trace> traces_;  // ordered: deterministic dump
   std::unordered_map<ThreadId, ThreadCtx> threads_;          // traced threads only
   std::unordered_map<ThreadId, ArmedRequest> armed_;         // parent -> next-create binding

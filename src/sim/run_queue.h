@@ -10,9 +10,7 @@
 
 #include <deque>
 #include <map>
-#include <vector>
 
-#include "src/base/panic.h"
 #include "src/sim/fiber.h"
 
 namespace sim {
@@ -56,93 +54,6 @@ class FifoRunQueue : public RunQueue {
 
  private:
   std::deque<Fiber*> q_;
-};
-
-// LIFO: favours cache-warm recently-preempted threads.
-class LifoRunQueue : public RunQueue {
- public:
-  void Enqueue(Fiber* f) override { q_.push_back(f); }
-  Fiber* Dequeue() override {
-    if (q_.empty()) {
-      return nullptr;
-    }
-    Fiber* f = q_.back();
-    q_.pop_back();
-    return f;
-  }
-  bool Empty() const override { return q_.empty(); }
-  size_t Size() const override { return q_.size(); }
-  bool Remove(Fiber* f) override {
-    for (auto it = q_.begin(); it != q_.end(); ++it) {
-      if (*it == f) {
-        q_.erase(it);
-        return true;
-      }
-    }
-    return false;
-  }
-
- private:
-  std::vector<Fiber*> q_;
-};
-
-// Adaptive multilevel feedback (§2.1's "adaptive policies tuned to the
-// specific application"): a fiber that keeps getting requeued (a CPU hog
-// burning full quanta) sinks to lower levels; fibers that block (I/O- or
-// communication-bound) re-enter at the top, so short interactive work
-// overtakes long computations without explicit priorities.
-class FeedbackRunQueue : public RunQueue {
- public:
-  explicit FeedbackRunQueue(int levels = 3) : queues_(static_cast<size_t>(levels)) {}
-
-  void Enqueue(Fiber* f) override {
-    // Involuntary requeues (quantum expiry) arrive with the flag set by the
-    // kernel *after* this call, so classify by history: a fiber seen again
-    // without having blocked in between is demoted one level.
-    auto [it, inserted] = level_of_.try_emplace(f, 0);
-    if (!inserted) {
-      it->second = std::min(it->second + 1, static_cast<int>(queues_.size()) - 1);
-    }
-    queues_[static_cast<size_t>(it->second)].push_back(f);
-    ++size_;
-  }
-
-  Fiber* Dequeue() override {
-    for (auto& q : queues_) {
-      if (!q.empty()) {
-        Fiber* f = q.front();
-        q.pop_front();
-        --size_;
-        return f;
-      }
-    }
-    return nullptr;
-  }
-
-  // A blocked-then-woken fiber signals interactivity: promote to the top.
-  // (The kernel calls Enqueue for wakes too; callers wanting the boost use
-  // Boost() from a wrapper, or simply rely on demotion being slow.)
-  void Boost(Fiber* f) { level_of_[f] = 0; }
-
-  bool Empty() const override { return size_ == 0; }
-  size_t Size() const override { return size_; }
-  bool Remove(Fiber* f) override {
-    for (auto& q : queues_) {
-      for (auto it = q.begin(); it != q.end(); ++it) {
-        if (*it == f) {
-          q.erase(it);
-          --size_;
-          return true;
-        }
-      }
-    }
-    return false;
-  }
-
- private:
-  std::vector<std::deque<Fiber*>> queues_;
-  std::map<Fiber*, int> level_of_;
-  size_t size_ = 0;
 };
 
 // Strict priority (higher Fiber::priority first), FIFO within a level.

@@ -4,8 +4,9 @@ Each test builds a baseline/current pair of BENCH_<name>.json documents in a
 temp directory and runs the real tool as a subprocess, asserting on exit
 status and output: the 2% virtual-time gate, direction-aware wall-gauge
 gating, ratchet-candidate notes, --refresh rewriting exactly the stale
-baselines, and the sweep-curve comparison (which gates even under
---no-wall-gate because the curve derives from virtual time).
+baselines, the sweep-curve comparison (which gates even under
+--no-wall-gate because the curve derives from virtual time), and the refusal
+to compare or refresh results whose config or schema differs.
 
 Run directly (python3 tests/bench_compare_test.py) or via CTest.
 """
@@ -151,6 +152,47 @@ class BenchCompareTest(unittest.TestCase):
             "sweep.p99_us/r0": 100.0, "sweep.p99_us/r1": p99_r1,
             "sweep.rejection_pct/r0": 0.0, "sweep.rejection_pct/r1": rej_r1,
         }
+
+    # --- comparability ---------------------------------------------------------
+
+    def test_config_mismatch_fails_and_refresh_refuses(self):
+        # A 64-node run checked against the 512-node baseline "improves" by
+        # 80%: it must fail as not comparable, never ratchet, and --refresh
+        # must leave the baseline alone.
+        base = bench_doc(100_000_000)
+        base["config"] = {"nodes": 512, "objects": 999936}
+        cur = bench_doc(20_000_000)
+        cur["config"] = {"nodes": 64, "objects": 999936}
+        base_path = self.write(self.base_dir, "scale", base)
+        self.write(self.cur_dir, "scale", cur)
+        code, out = self.run_tool("scale")
+        self.assertEqual(code, 1, out)
+        self.assertIn("MISMATCH", out)
+        self.assertIn("nodes=64 vs baseline 512", out)
+        self.assertNotIn("ratchet", out)
+        self.assertIn("no --refresh offered", out)
+        code, out = self.run_tool("--refresh", "scale")
+        self.assertEqual(code, 1, out)
+        self.assertIn("refusing --refresh", out)
+        with open(base_path, encoding="utf-8") as f:
+            self.assertEqual(json.load(f)["config"]["nodes"], 512)
+
+    def test_top_level_schema_mismatch_fails(self):
+        self.write(self.base_dir, "a", bench_doc(100_000_000))
+        cur = bench_doc(100_000_000)
+        cur["schema"] = 2
+        self.write(self.cur_dir, "a", cur)
+        code, out = self.run_tool("a")
+        self.assertEqual(code, 1, out)
+        self.assertIn("top-level keys differ", out)
+
+    def test_host_section_may_differ(self):
+        self.write(self.base_dir, "a", bench_doc(100_000_000))
+        cur = bench_doc(100_000_000)
+        cur["host"] = {"cpus": 64}
+        self.write(self.cur_dir, "a", cur)
+        code, out = self.run_tool("a")
+        self.assertEqual(code, 0, out)
 
     def test_sweep_identical_curve_passes_quietly(self):
         self.write(self.base_dir, "s", bench_doc(100, self.sweep_gauges()))

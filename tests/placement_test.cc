@@ -48,58 +48,6 @@ TEST(PlacementTest, RoundRobinCustomStart) {
   });
 }
 
-TEST(PlacementTest, LoadAwareAvoidsBusyNodes) {
-  Runtime rt(TestConfig(4, 1));
-  rt.Run([&] {
-    // Saturate nodes 0 and 2 with compute threads.
-    std::vector<ThreadRef<int>> busy;
-    for (NodeId n : {0, 2}) {
-      auto w = NewOn<Widget>(n);
-      busy.push_back(StartThread(w, &Widget::Spin, 50));
-    }
-    Work(Millis(2));  // let them occupy their CPUs
-    LoadAwarePlacer placer;
-    // With 0 and 2 busy, placements must prefer 1 and 3.
-    const NodeId a = placer.NextNode();
-    EXPECT_TRUE(a == 1 || a == 3) << "picked busy node " << a;
-    for (auto& t : busy) {
-      t.Join();
-    }
-  });
-}
-
-TEST(PlacementTest, WeightedDistributionMatchesWeights) {
-  Runtime rt(TestConfig(4));
-  rt.Run([&] {
-    WeightedPlacer placer({4, 2, 1, 1});
-    std::vector<int> counts(4, 0);
-    for (int i = 0; i < 80; ++i) {
-      ++counts[static_cast<size_t>(placer.NextNode())];
-    }
-    EXPECT_EQ(counts[0], 40);
-    EXPECT_EQ(counts[1], 20);
-    EXPECT_EQ(counts[2], 10);
-    EXPECT_EQ(counts[3], 10);
-  });
-}
-
-TEST(PlacementTest, WeightedInterleavesSmoothly) {
-  Runtime rt(TestConfig(2));
-  rt.Run([&] {
-    WeightedPlacer placer({1, 1});
-    // Equal weights: strict alternation, not bursts.
-    const NodeId a = placer.NextNode();
-    const NodeId b = placer.NextNode();
-    const NodeId c = placer.NextNode();
-    EXPECT_NE(a, b);
-    EXPECT_EQ(a, c);
-  });
-}
-
-TEST(PlacementTest, WeightedZeroTotalRejected) {
-  EXPECT_DEATH(WeightedPlacer({0, 0}), "all weights zero");
-}
-
 TEST(ClusterReportTest, ReportsUtilizationAndMigrations) {
   Runtime rt(TestConfig(2, 2));
   const Time end = rt.Run([&] {

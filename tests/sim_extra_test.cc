@@ -108,13 +108,13 @@ TEST(SchedulerTest, ReplacementTransfersQueuedFibers) {
   Harness h(1, 1, FreeCpu());
   std::vector<int> order;
   h.Go(0, [&] {
-    // Queue three children behind us (single CPU), then swap in a LIFO
-    // policy: they must all still run, in reversed order.
+    // Queue three children behind us (single CPU), then swap in a priority
+    // policy: they must all still run, the latest (highest priority) first.
     for (int i = 0; i < 3; ++i) {
-      h.Go(0, [&order, i] { order.push_back(i); });
+      h.Go(0, [&order, i] { order.push_back(i); })->priority = i;
     }
-    h.k().Sync();  // let the spawn events enqueue them
-    h.k().SetRunQueue(0, std::make_unique<LifoRunQueue>());
+    h.k().Sync();  // let the spawn events enqueue them (FIFO ignores priority)
+    h.k().SetRunQueue(0, std::make_unique<PriorityRunQueue>());
   });
   h.k().Run();
   EXPECT_EQ(order, (std::vector<int>{2, 1, 0}));
@@ -133,57 +133,6 @@ TEST(RunQueueTest, RemoveExtractsSpecificFiber) {
   EXPECT_EQ(q.Dequeue(), &a);
   EXPECT_EQ(q.Dequeue(), &c);
   EXPECT_EQ(q.Dequeue(), nullptr);
-}
-
-TEST(RunQueueTest, FeedbackDemotesRepeatOffenders) {
-  FeedbackRunQueue q(3);
-  Fiber hog;
-  Fiber fresh;
-  // The hog cycles through the queue three times (three full quanta).
-  q.Enqueue(&hog);
-  EXPECT_EQ(q.Dequeue(), &hog);
-  q.Enqueue(&hog);  // demoted to level 1
-  q.Enqueue(&fresh);  // level 0
-  EXPECT_EQ(q.Dequeue(), &fresh) << "fresh arrival overtakes the demoted hog";
-  EXPECT_EQ(q.Dequeue(), &hog);
-  q.Enqueue(&hog);   // level 2 (floor)
-  q.Enqueue(&fresh); // level 1 now (second sighting)
-  EXPECT_EQ(q.Dequeue(), &fresh);
-  EXPECT_EQ(q.Dequeue(), &hog);
-  q.Boost(&hog);
-  q.Enqueue(&hog);  // boosted: re-enqueued at level... demoted from 0 to 1
-  q.Enqueue(&fresh);
-  EXPECT_EQ(q.Dequeue(), &hog) << "boost resets the hog's level";
-}
-
-TEST(RunQueueTest, FeedbackKeepsInteractiveLatencyLow) {
-  // End-to-end: 2 CPU hogs + periodic short tasks on one CPU. Under the
-  // feedback policy the short tasks (always at level 0) run ahead of the
-  // demoted hogs.
-  CostModel cost = FreeCpu();
-  cost.quantum = Millis(1);
-  Harness h(1, 1, cost);
-  h.k().SetRunQueue(0, std::make_unique<FeedbackRunQueue>());
-  std::vector<Time> latencies;
-  for (int i = 0; i < 2; ++i) {
-    h.Go(0, [&] { h.k().Charge(Millis(30)); }, "hog");
-  }
-  h.Go(0, [&] {
-    for (int i = 0; i < 5; ++i) {
-      // Sleep, then time how long a 100 µs task waits for the CPU.
-      h.k().Sync();
-      const Time want = h.k().Now() + Millis(5);
-      h.k().Wake(h.k().current(), want);
-      h.k().Block();
-      const Time started = h.k().Now();
-      h.k().Charge(Micros(100));
-      latencies.push_back(started - want);
-    }
-  }, "interactive");
-  h.k().Run();
-  for (Time lat : latencies) {
-    EXPECT_LE(lat, Millis(2)) << "interactive task waited behind the hogs";
-  }
 }
 
 TEST(RunQueueTest, PriorityTiesAreFifo) {

@@ -14,6 +14,7 @@
 
 #include "src/apps/fdr/fdr_report.h"
 #include "src/core/amber.h"
+#include "src/fault/fault.h"
 #include "src/fdr/fdr.h"
 #include "src/metrics/metrics.h"
 #include "src/prof/profiler.h"
@@ -168,6 +169,56 @@ TEST(TelemetryTest, CountsAndBucketsObserveTheRun) {
   EXPECT_EQ(total, prof.count(Count::kDispatches));
   EXPECT_GT(prof.EnabledWallNs(), 0);
   EXPECT_GT(prof.EventsPerSec(), 0.0);
+}
+
+// The bus has one dispatch, and it times every emission once under
+// observer_fanout — scheduler, invocation, rpc, fault and network-message
+// events alike. With the flight recorder (which encodes every bus event as
+// one record) as the only observer, the bucket's call count must equal the
+// recorder's record count.
+TEST(TelemetryTest, EveryBusEmissionCountsUnderObserverFanout) {
+  Runtime::Config c;
+  c.nodes = 2;
+  c.procs_per_node = 2;
+  c.arena_bytes = size_t{128} << 20;
+  Runtime rt(c);
+  fault::FaultPlan plan;
+  plan.seed = 11;
+  fault::LinkRule rule;
+  rule.drop = 0.2;
+  rule.duplicate = 0.05;
+  rule.delay = 0.1;
+  rule.delay_min = kMicrosecond * 50;
+  rule.delay_max = kMicrosecond * 500;
+  plan.links.push_back(rule);
+  fault::Injector injector(plan);
+  rt.SetFaultInjector(&injector);
+  rt.SetFailureHandler([](const FailureEvent&) { return FailureAction::kRetry; });
+  fdr::Recorder rec({.name = "fanout", .ring_capacity = size_t{1} << 16});
+  rec.AttachTo(rt);
+  SelfProfiler prof(SmallRingConfig());
+  prof.Enable();
+  rt.Run([&] {
+    auto shared = NewOn<Monitored>(1);
+    auto t1 = StartThread(shared, &Monitored::Bump);
+    auto t2 = StartThread(shared, &Monitored::Bump);
+    t1.Join();
+    t2.Join();
+    auto thing = New<Pokee>();
+    for (int i = 0; i < 8; ++i) {
+      MoveTo(thing, 1 - Here());
+      thing.Call(&Pokee::Poke);
+    }
+  });
+  prof.Disable();
+  std::ostringstream dump;
+  rec.WriteDump(dump, "explicit", "");
+  ASSERT_EQ(rec.dropped(), 0) << "ring too small to hold the whole run";
+  for (const char* type : {"\"type\":\"message\"", "\"type\":\"message_dropped\"",
+                           "\"type\":\"message_delayed\"", "\"type\":\"rpc_retry\""}) {
+    EXPECT_NE(dump.str().find(type), std::string::npos) << "the run emitted no " << type;
+  }
+  EXPECT_EQ(prof.bucket_calls(Bucket::kObserverFanout), rec.recorded());
 }
 
 TEST(TelemetryTest, SampleRingWrapsKeepingNewestChronologically) {

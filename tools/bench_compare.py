@@ -44,8 +44,14 @@ model, so every curve point gates at the benchmark's own tolerance,
 direction-aware (throughput higher-is-better, latency/rejection lower), and
 --no-wall-gate does not exempt them.
 
-Exit status: 0 if every benchmark is within tolerance, 1 on regression or a
-missing/unreadable file.
+Two results are only comparable when they describe the same experiment: the
+same top-level keys, the same `bench` name and an identical `config` section.
+Any mismatch (say, a 64-node bench_scale run against the 512-node baseline)
+fails that benchmark without computing a delta, and --refresh then refuses
+to rewrite any baseline.
+
+Exit status: 0 if every benchmark is within tolerance, 1 on regression, a
+config/schema mismatch or a missing/unreadable file.
 """
 
 import argparse
@@ -73,6 +79,26 @@ def gauges(doc):
             if isinstance(value, (int, float)):
                 out[key] = float(value)
     return out
+
+
+def mismatch(base, cur):
+    """Why two BENCH documents measure different experiments, or None.
+
+    The `host` section (which machine ran it) may differ; the set of
+    top-level keys, the bench name and every `config` entry may not.
+    """
+    if base.keys() != cur.keys():
+        return f"top-level keys differ: {sorted(base.keys() ^ cur.keys())}"
+    if base.get("bench") != cur.get("bench"):
+        return f"bench {cur.get('bench')!r} vs baseline {base.get('bench')!r}"
+    base_cfg, cur_cfg = base.get("config"), cur.get("config")
+    if base_cfg == cur_cfg:
+        return None
+    if not isinstance(base_cfg, dict) or not isinstance(cur_cfg, dict):
+        return f"config {cur_cfg!r} vs baseline {base_cfg!r}"
+    diffs = [f"{k}={cur_cfg.get(k)!r} vs baseline {base_cfg.get(k)!r}"
+             for k in sorted(base_cfg.keys() | cur_cfg.keys()) if base_cfg.get(k) != cur_cfg.get(k)]
+    return "config differs: " + ", ".join(diffs)
 
 
 def is_wall_metric(key):
@@ -165,6 +191,7 @@ def main():
     failures = []
     rows = []
     stale = {}  # bench name -> (baseline path, current path), for --refresh
+    mismatched = []
     for name in args.benches:
         tol = per_bench_tol.get(name, default_tol)
         base_path = os.path.join(args.baseline, f"BENCH_{name}.json")
@@ -175,6 +202,13 @@ def main():
         except (OSError, ValueError) as err:
             failures.append(f"{name}: cannot load results: {err}")
             rows.append((name, "-", "-", "-", f"<= {tol:.1f}%", "ERROR"))
+            continue
+
+        why = mismatch(base, cur)
+        if why is not None:
+            mismatched.append(name)
+            failures.append(f"{name}: not comparable with its baseline: {why}")
+            rows.append((name, "-", "-", "-", f"<= {tol:.1f}%", "MISMATCH"))
             continue
 
         base_ns = base.get("virtual_time_ns")
@@ -278,7 +312,12 @@ def main():
     for row in [header] + rows:
         print("  ".join(str(cell).ljust(w) for cell, w in zip(row, widths)).rstrip())
 
-    if stale:
+    if mismatched:
+        # A refresh now would overwrite a baseline with another experiment.
+        verb = "refusing --refresh" if args.refresh else "no --refresh offered"
+        print(f"\n{verb}: {', '.join(mismatched)} ran a different experiment than its "
+              "baseline; rerun with the baseline's config")
+    elif stale:
         if args.refresh:
             print()
             for name in sorted(stale):
