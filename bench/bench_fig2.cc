@@ -13,15 +13,16 @@
 //     remote communication costs are effectively hidden.
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
 
 #include "bench/bench_util.h"
 #include "src/apps/sor/sor.h"
+#include "src/fdr/fdr.h"
 #include "src/prof/profiler.h"
 #include "src/telemetry/telemetry.h"
-#include "src/trace/trace.h"
 
 namespace {
 
@@ -83,7 +84,8 @@ int main() {
 
   // Re-run the headline configuration (8Nx4P, overlap) fully instrumented:
   // per-node metrics to BENCH_fig2.json, execution trace to
-  // BENCH_fig2_trace.json (load in https://ui.perfetto.dev).
+  // BENCH_fig2_trace.json (load in https://ui.perfetto.dev), rendered from a
+  // flight recorder that keeps the whole run.
   {
     amber::Runtime::Config config;
     config.nodes = 8;
@@ -92,10 +94,10 @@ int main() {
     config.arena_bytes = size_t{1} << 30;
     amber::Runtime rt(config);
     metrics::Registry registry;
-    trace::Tracer tracer;
+    fdr::Recorder recorder({.name = "fig2", .ring_capacity = SIZE_MAX});
     prof::Profiler profiler;
     rt.SetMetrics(&registry);
-    rt.SetObserver(&tracer);
+    recorder.AttachTo(rt);
     rt.AddObserver(&profiler);  // rides the same bus, zero virtual-time cost
     const sor::Result r = sor::RunAmber(rt, params);
     const double speedup =
@@ -113,9 +115,9 @@ int main() {
     json.Config("overlap", true);
     const std::string path = json.Write(r.solve_time, &registry);
     std::ofstream trace_out("BENCH_fig2_trace.json");
-    tracer.WriteChromeTrace(trace_out);
-    std::printf("\nwrote %s and BENCH_fig2_trace.json (%zu events)\n", path.c_str(),
-                tracer.size());
+    recorder.WriteChromeTrace(trace_out);
+    std::printf("\nwrote %s and BENCH_fig2_trace.json (%lld records)\n", path.c_str(),
+                static_cast<long long>(recorder.recorded()));
 
     prof::ProfileReport report = profiler.Finalize();
     report.name = "fig2";

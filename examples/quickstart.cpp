@@ -10,13 +10,14 @@
 // event bus (scheduling, invocations, migrations, moves, messages, lock
 // contention) plus a metrics-registry JSON dump (docs/OBSERVABILITY.md).
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
 
 #include "src/core/amber.h"
+#include "src/fdr/fdr.h"
 #include "src/metrics/metrics.h"
-#include "src/trace/trace.h"
 
 namespace {
 
@@ -109,10 +110,10 @@ int main(int argc, char** argv) {
   config.nodes = 4;
   config.procs_per_node = 4;
   Runtime rt(config);
-  trace::Tracer tracer;
+  fdr::Recorder recorder({.name = "quickstart", .ring_capacity = SIZE_MAX});
   metrics::Registry registry;
   if (argc > 1) {
-    rt.SetObserver(&tracer);
+    recorder.AttachTo(rt);
     rt.SetMetrics(&registry);
   }
   rt.Run(Main);
@@ -121,13 +122,13 @@ int main(int argc, char** argv) {
               static_cast<long long>(rt.network().bytes_sent()));
   if (argc > 1) {
     std::ofstream out(argv[1]);
-    tracer.WriteChromeTrace(out);
+    recorder.WriteChromeTrace(out);
     if (!out) {
       std::fprintf(stderr, "cannot write %s\n", argv[1]);
       return 1;
     }
-    std::printf("trace: %zu events written to %s (open in https://ui.perfetto.dev)\n",
-                tracer.size(), argv[1]);
+    std::printf("trace: %lld records written to %s (open in https://ui.perfetto.dev)\n",
+                static_cast<long long>(recorder.recorded()), argv[1]);
     const std::string metrics_path =
         argc > 2 ? argv[2] : std::string(argv[1]) + ".metrics.json";
     std::ofstream mout(metrics_path);

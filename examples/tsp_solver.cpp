@@ -11,6 +11,7 @@
 // trace.json.metrics.json), plus a cluster report with the registry's
 // lock-contention section (docs/OBSERVABILITY.md).
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -18,8 +19,8 @@
 
 #include "src/apps/tsp/tsp.h"
 #include "src/core/cluster_report.h"
+#include "src/fdr/fdr.h"
 #include "src/metrics/metrics.h"
-#include "src/trace/trace.h"
 
 int main(int argc, char** argv) {
   int nodes = 4;
@@ -49,11 +50,11 @@ int main(int argc, char** argv) {
   config.cost = cost;
   config.arena_bytes = size_t{256} << 20;
   amber::Runtime rt(config);
-  trace::Tracer tracer;
+  fdr::Recorder recorder({.name = "tsp", .ring_capacity = SIZE_MAX});
   metrics::Registry registry;
   const bool instrument = argc >= 6;
   if (instrument) {
-    rt.SetObserver(&tracer);
+    recorder.AttachTo(rt);
     rt.SetMetrics(&registry);
   }
   const tsp::Result par = tsp::RunAmber(rt, params);
@@ -79,13 +80,13 @@ int main(int argc, char** argv) {
   if (instrument) {
     std::printf("\n%s", amber::ClusterReport(rt, par.solve_time).c_str());
     std::ofstream tout(argv[5]);
-    tracer.WriteChromeTrace(tout);
+    recorder.WriteChromeTrace(tout);
     if (!tout) {
       std::fprintf(stderr, "cannot write %s\n", argv[5]);
       return 1;
     }
-    std::printf("trace: %zu events written to %s (open in https://ui.perfetto.dev)\n",
-                tracer.size(), argv[5]);
+    std::printf("trace: %lld records written to %s (open in https://ui.perfetto.dev)\n",
+                static_cast<long long>(recorder.recorded()), argv[5]);
     const std::string metrics_path =
         argc >= 7 ? argv[6] : std::string(argv[5]) + ".metrics.json";
     std::ofstream mout(metrics_path);

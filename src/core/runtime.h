@@ -46,8 +46,8 @@ class ThreadObject;
 // Stable identity of a thread on the event bus: the underlying fiber's
 // dense creation-order id (1, 2, 3, ... — deterministic across identical
 // runs). Events carry this instead of the thread's name so the hot path is
-// allocation-free; OnThreadCreate delivers the id→name binding exactly once
-// and sinks keep their own side table (see trace::Tracer::ThreadName).
+// allocation-free; OnThreadCreate delivers the id→name binding exactly once,
+// and the runtime's ThreadModel keeps the id→name table every sink reads.
 using ThreadId = uint64_t;
 
 // Observer of the runtime's events — the instrumentation bus. Callbacks run
@@ -378,7 +378,7 @@ class Runtime {
   // Installs a scheduling policy on a node (§2.1 replaceable scheduler).
   void SetScheduler(NodeId node, std::unique_ptr<sim::RunQueue> queue);
 
-  // Attaches an event observer (e.g. trace::Tracer), replacing any already
+  // Attaches an event observer (e.g. prof::Profiler), replacing any already
   // attached. Call before Run(). Pass nullptr to detach all.
   void SetObserver(RuntimeObserver* observer);
 

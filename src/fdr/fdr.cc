@@ -69,24 +69,27 @@ const char* DropName(uint8_t code) {
   return "other";
 }
 
-void EscapeJson(std::ostream& out, const std::string& s) {
+std::string JsonEscape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
   for (char c : s) {
     switch (c) {
-      case '"':  out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\t': out << "\\t"; break;
-      case '\r': out << "\\r"; break;
+      case '"':  out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
           char buf[8];
           std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out << buf;
+          out += buf;
         } else {
-          out << c;
+          out += c;
         }
     }
   }
+  return out;
 }
 
 }  // namespace
@@ -98,20 +101,16 @@ Recorder::Recorder(Config config) : config_(std::move(config)) {
 }
 
 void Recorder::AttachTo(amber::Runtime& rt) {
-  // Pre-size every node's ring so steady-state appends never allocate.
-  rings_.reserve(static_cast<size_t>(rt.nodes()));
-  for (NodeId n = 0; n < rt.nodes(); ++n) {
-    RingFor(n);
-  }
+  // Every node gets a ring (the dump lists each one), grown as records come.
+  RingFor(rt.nodes() - 1);
   model_ = rt.thread_model();
   rt.SetBlackBox(this);
 }
 
 Recorder::Ring& Recorder::RingFor(NodeId node) {
   const size_t idx = node < 0 ? 0 : static_cast<size_t>(node);
-  while (rings_.size() <= idx) {
-    rings_.emplace_back();
-    rings_.back().buf.resize(config_.ring_capacity);
+  if (rings_.size() <= idx) {
+    rings_.resize(idx + 1);
   }
   return rings_[idx];
 }
@@ -119,6 +118,9 @@ Recorder::Ring& Recorder::RingFor(NodeId node) {
 void Recorder::Append(EventType type, Time when, NodeId node, int64_t a, int64_t b, int64_t c,
                       int32_t aux, uint8_t flag, uint64_t span) {
   Ring& ring = RingFor(node);
+  if (ring.buf.size() < config_.ring_capacity) {
+    ring.buf.emplace_back();
+  }
   Record& r = ring.buf[ring.appended % ring.buf.size()];
   r.when = when;
   r.seq = next_seq_++;
@@ -147,9 +149,7 @@ int64_t Recorder::recorded() const {
 int64_t Recorder::dropped() const {
   int64_t total = 0;
   for (const Ring& r : rings_) {
-    if (r.appended > r.buf.size()) {
-      total += static_cast<int64_t>(r.appended - r.buf.size());
-    }
+    total += static_cast<int64_t>(r.appended - r.buf.size());
   }
   return total;
 }
@@ -161,7 +161,7 @@ void Recorder::PublishMetrics(metrics::Registry* registry) {
   for (size_t n = 0; n < rings_.size(); ++n) {
     Ring& r = rings_[n];
     const uint64_t rec = r.appended;
-    const uint64_t drop = r.appended > r.buf.size() ? r.appended - r.buf.size() : 0;
+    const uint64_t drop = r.appended - r.buf.size();
     registry->GetCounter("fdr.recorded", static_cast<int>(n))
         .Add(static_cast<int64_t>(rec - r.published_recorded));
     registry->GetCounter("fdr.dropped", static_cast<int>(n))
@@ -236,11 +236,14 @@ void Recorder::OnThreadMigrate(Time when, NodeId src, NodeId dst, ThreadId threa
 void Recorder::OnInvokeEnter(Time when, NodeId node, ThreadId thread, const void* obj,
                              const std::string& object, bool remote, NodeId origin,
                              Duration entry_overhead) {
-  const int id = ObjectId(obj);
-  ObjectLive& o = objects_[static_cast<size_t>(id)];
-  if (o.label.empty()) {
-    o.label = object;
+  int id = ObjectId(obj);
+  if (const std::string& known = objects_[static_cast<size_t>(id)].label;
+      !known.empty() && known != object) {
+    // The allocator reused a dead object's address: a new object, a new id.
+    obj_ids_.erase(obj);
+    id = ObjectId(obj);
   }
+  objects_[static_cast<size_t>(id)].label = object;
   TouchObject(id, node, when);
   Append(EventType::kInvokeEnter, when, node, static_cast<int64_t>(thread), id, entry_overhead,
          origin, remote ? 1 : 0, SpanOf(thread));
@@ -406,6 +409,20 @@ void Recorder::OnPolicyMigration(Time when, const void* obj, NodeId from, NodeId
 
 // --- Dump rendering ----------------------------------------------------------
 
+// Ordered by the global append sequence (== virtual-time order, since every
+// emission happens at an ordered point).
+std::vector<const Recorder::Record*> Recorder::Merged() const {
+  std::vector<const Record*> merged;
+  for (const Ring& ring : rings_) {
+    for (const Record& r : ring.buf) {
+      merged.push_back(&r);
+    }
+  }
+  std::sort(merged.begin(), merged.end(),
+            [](const Record* a, const Record* b) { return a->seq < b->seq; });
+  return merged;
+}
+
 void Recorder::RenderEvent(std::ostream& out, const Record& r) const {
   out << "{\"seq\":" << r.seq << ",\"t\":" << r.when << ",\"node\":" << r.node << ",\"type\":\""
       << TypeName(r.type) << "\"";
@@ -527,7 +544,7 @@ void Recorder::RenderThread(std::ostream& out, ThreadId tid, const amber::Thread
   using Kind = amber::ThreadModel::Marker::Kind;
   using RunState = amber::ThreadModel::RunState;
   out << "\n    {\"thread\":" << tid << ",\"name\":\"";
-  EscapeJson(out, t.name);
+  out << JsonEscape(t.name);
   out << "\",\"parent\":" << t.parent << ",\"node\":" << t.node << ",\"status\":\"";
   switch (t.state) {
     case RunState::kReady:   out << "ready"; break;
@@ -579,14 +596,14 @@ void Recorder::WriteDump(std::ostream& out, const std::string& reason,
 
   out << "{\n";
   out << "  \"fdr\": \"";
-  EscapeJson(out, config_.name);
+  out << JsonEscape(config_.name);
   out << "\",\n";
   out << "  \"schema\": 1,\n";
   out << "  \"reason\": \"";
-  EscapeJson(out, reason);
+  out << JsonEscape(reason);
   out << "\",\n";
   out << "  \"detail\": \"";
-  EscapeJson(out, detail);
+  out << JsonEscape(detail);
   out << "\",\n";
   const Time vt = rt != nullptr ? rt->now() : last_time_;
   out << "  \"virtual_time_ns\": " << vt << ",\n";
@@ -608,11 +625,10 @@ void Recorder::WriteDump(std::ostream& out, const std::string& reason,
   for (size_t n = 0; n < rings_.size(); ++n) {
     const Ring& ring = rings_[n];
     Time last = 0;
-    const size_t have = std::min<uint64_t>(ring.appended, ring.buf.size());
-    for (size_t i = 0; i < have; ++i) {
-      last = std::max(last, ring.buf[i].when);
+    for (const Record& r : ring.buf) {
+      last = std::max(last, r.when);
     }
-    const uint64_t drop = ring.appended > ring.buf.size() ? ring.appended - ring.buf.size() : 0;
+    const uint64_t drop = ring.appended - ring.buf.size();
     out << (n == 0 ? "" : ",") << "\n    {\"node\":" << n << ",\"recorded\":" << ring.appended
         << ",\"dropped\":" << drop << ",\"crashed\":"
         << (crashed_.count(static_cast<NodeId>(n)) ? "true" : "false")
@@ -784,7 +800,7 @@ void Recorder::WriteDump(std::ostream& out, const std::string& reason,
     for (int id : selected) {
       const ObjectLive& o = objects_[static_cast<size_t>(id)];
       out << (first ? "" : ",") << "\n    {\"id\":" << id << ",\"label\":\"";
-      EscapeJson(out, o.label.empty() ? "obj-" + std::to_string(id) : o.label);
+      out << JsonEscape(o.label.empty() ? "obj-" + std::to_string(id) : o.label);
       out << "\",\"node\":" << o.node << ",\"last_touched_ns\":" << o.last_touch
           << ",\"chain\":[";
       auto it = chains.find(id);
@@ -807,7 +823,7 @@ void Recorder::WriteDump(std::ostream& out, const std::string& reason,
     bool first = true;
     rt->sim().ForEachFiber([&](const sim::Fiber& f) {
       out << (first ? "" : ",") << "\n    {\"fiber\":" << f.id << ",\"name\":\"";
-      EscapeJson(out, f.name);
+      out << JsonEscape(f.name);
       out << "\",\"node\":" << f.node << ",\"processor\":" << f.processor << ",\"state\":\""
           << sim::FiberStateName(f.state) << "\",\"vtime_ns\":" << f.vtime << "}";
       first = false;
@@ -815,18 +831,8 @@ void Recorder::WriteDump(std::ostream& out, const std::string& reason,
   }
   out << "\n  ],\n";
 
-  // The causally-merged final window: all retained records across rings,
-  // ordered by the global append sequence (== virtual-time order, since
-  // every emission happens at an ordered point).
-  std::vector<const Record*> merged;
-  for (const Ring& ring : rings_) {
-    const size_t have = std::min<uint64_t>(ring.appended, ring.buf.size());
-    for (size_t i = 0; i < have; ++i) {
-      merged.push_back(&ring.buf[i]);
-    }
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const Record* a, const Record* b) { return a->seq < b->seq; });
+  // The causally-merged final window.
+  const std::vector<const Record*> merged = Merged();
   out << "  \"events\": [";
   for (size_t i = 0; i < merged.size(); ++i) {
     out << (i == 0 ? "" : ",") << "\n    ";
@@ -834,6 +840,272 @@ void Recorder::WriteDump(std::ostream& out, const std::string& reason,
   }
   out << "\n  ]\n";
   out << "}\n";
+}
+
+// --- Chrome trace rendering ---------------------------------------------------
+
+namespace {
+
+// Trace event names spell the record type with dashes ("object-move").
+std::string TraceName(EventType t) {
+  std::string name = TypeName(t);
+  std::replace(name.begin(), name.end(), '_', '-');
+  return name;
+}
+
+double Us(Time t) { return static_cast<double>(t) / 1000.0; }
+
+}  // namespace
+
+void Recorder::WriteChromeTrace(std::ostream& out) const {
+  // Rendered lines are sorted by timestamp, ties in render order, so the
+  // same records always give the same bytes.
+  struct Line {
+    double ts;
+    size_t seq;
+    std::string json;
+  };
+  std::vector<Line> lines;
+  char buf[512];
+  auto add = [&](Time ts) { lines.push_back(Line{Us(ts), lines.size(), buf}); };
+  auto thread = [this](int64_t tid) {
+    const ThreadId id = static_cast<ThreadId>(tid);
+    if (model_ != nullptr && !model_->Get(id).name.empty()) {
+      return JsonEscape(model_->Get(id).name);
+    }
+    return "t" + std::to_string(id);
+  };
+
+  // Render-time pairing state, keyed by thread, rpc and object ids.
+  struct OpenSpan {
+    Time start;
+    NodeId node;
+  };
+  std::map<int64_t, OpenSpan> running;                   // open dispatch
+  std::map<int64_t, std::vector<const Record*>> calls;   // invoke stack
+  std::map<int64_t, int> migration_flow;                 // awaiting arrival
+  std::map<int64_t, const Record*> rpc_requests;         // by rpc id
+  std::unordered_map<int64_t, int> ordinals;             // object id -> obj-N
+  int next_flow = 0;
+  NodeId max_node = 0;
+
+  for (const Record* rec : Merged()) {
+    const Record& r = *rec;
+    const NodeId node = r.node;
+    NodeId dst = node;
+    switch (r.type) {
+      case EventType::kThreadDispatch:
+        running[r.a] = OpenSpan{r.when, node};
+        break;
+      case EventType::kThreadBlock:
+      case EventType::kThreadPreempt:
+      case EventType::kThreadExit: {
+        auto it = running.find(r.a);
+        if (it != running.end()) {
+          std::snprintf(buf, sizeof(buf),
+                        "{\"name\":\"running\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,"
+                        "\"pid\":%d,\"tid\":\"%s (cpu)\",\"cat\":\"sched\"}",
+                        Us(it->second.start), Us(r.when - it->second.start), it->second.node,
+                        thread(r.a).c_str());
+          add(it->second.start);
+          running.erase(it);
+        }
+        break;
+      }
+      case EventType::kThreadUnblock: {
+        auto it = migration_flow.find(r.a);
+        if (it != migration_flow.end()) {
+          std::snprintf(buf, sizeof(buf),
+                        "{\"name\":\"migrate\",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":\"e\","
+                        "\"id\":%d,\"ts\":%.3f,\"pid\":%d,\"tid\":\"%s (cpu)\"}",
+                        it->second, Us(r.when), node, thread(r.a).c_str());
+          add(r.when);
+          migration_flow.erase(it);
+        }
+        break;
+      }
+      case EventType::kThreadMigrate: {
+        dst = r.aux;
+        const int id = next_flow++;
+        migration_flow[r.a] = id;
+        const std::string name = thread(r.a);
+        std::snprintf(buf, sizeof(buf),
+                      "{\"name\":\"migrate\",\"cat\":\"flow\",\"ph\":\"s\",\"id\":%d,"
+                      "\"ts\":%.3f,\"pid\":%d,\"tid\":\"%s (cpu)\"}",
+                      id, Us(r.when), node, name.c_str());
+        add(r.when);
+        std::snprintf(buf, sizeof(buf),
+                      "{\"name\":\"thread-migrate %s %d->%d\",\"ph\":\"i\",\"ts\":%.3f,"
+                      "\"pid\":%d,\"tid\":\"%s (cpu)\",\"s\":\"p\",\"cat\":\"migration\","
+                      "\"args\":{\"bytes\":%lld}}",
+                      name.c_str(), node, dst, Us(r.when), node, name.c_str(),
+                      static_cast<long long>(r.b));
+        add(r.when);
+        break;
+      }
+      case EventType::kInvokeEnter:
+        calls[r.a].push_back(&r);
+        break;
+      case EventType::kInvokeExit: {
+        auto it = calls.find(r.a);
+        if (it != calls.end() && !it->second.empty()) {
+          const Record* enter = it->second.back();
+          it->second.pop_back();
+          std::snprintf(buf, sizeof(buf),
+                        "{\"name\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":%d,"
+                        "\"tid\":\"%s\",\"cat\":\"invoke\",\"args\":{\"remote\":%s}}",
+                        JsonEscape(objects_[static_cast<size_t>(enter->b)].label).c_str(),
+                        Us(enter->when), Us(r.when - enter->when), enter->node,
+                        thread(r.a).c_str(), enter->flag ? "true" : "false");
+          add(enter->when);
+        }
+        break;
+      }
+      case EventType::kRpcRequest:
+        dst = r.aux;
+        rpc_requests[r.a] = &r;
+        break;
+      case EventType::kRpcResponse: {
+        dst = r.aux;
+        auto it = rpc_requests.find(r.a);
+        if (it != rpc_requests.end()) {
+          const Record& req = *it->second;
+          // Roundtrip span on the requester's "rpc" row, request departure
+          // to reply arrival, with a flow arrow to the service.
+          std::snprintf(buf, sizeof(buf),
+                        "{\"name\":\"rpc %d->%d (%lld B)\",\"ph\":\"X\",\"ts\":%.3f,"
+                        "\"dur\":%.3f,\"pid\":%d,\"tid\":\"rpc\",\"cat\":\"rpc\"}",
+                        req.node, req.aux, static_cast<long long>(req.b), Us(req.when),
+                        Us(r.c - req.when), req.node);
+          add(req.when);
+          const int id = next_flow++;
+          std::snprintf(buf, sizeof(buf),
+                        "{\"name\":\"rpc\",\"cat\":\"flow\",\"ph\":\"s\",\"id\":%d,"
+                        "\"ts\":%.3f,\"pid\":%d,\"tid\":\"rpc\"}",
+                        id, Us(req.when), req.node);
+          add(req.when);
+          std::snprintf(buf, sizeof(buf),
+                        "{\"name\":\"rpc\",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":\"e\","
+                        "\"id\":%d,\"ts\":%.3f,\"pid\":%d,\"tid\":\"rpc\"}",
+                        id, Us(r.when), node);
+          add(r.when);
+          rpc_requests.erase(it);
+        }
+        break;
+      }
+      case EventType::kMessage:
+        dst = r.aux;
+        std::snprintf(buf, sizeof(buf),
+                      "{\"name\":\"msg %d->%d (%lld B)\",\"ph\":\"X\",\"ts\":%.3f,"
+                      "\"dur\":%.3f,\"pid\":%d,\"tid\":\"net\",\"cat\":\"message\"}",
+                      node, dst, static_cast<long long>(r.a), Us(r.when), Us(r.b - r.when),
+                      node);
+        add(r.when);
+        break;
+      case EventType::kLockBlocked:
+      case EventType::kLockAcquired:
+      case EventType::kLockReleased:
+        std::snprintf(buf, sizeof(buf),
+                      "{\"name\":\"%s lock-%d\",\"ph\":\"i\",\"ts\":%.3f,\"pid\":%d,"
+                      "\"tid\":\"%s\",\"s\":\"t\",\"cat\":\"sync\",\"args\":{\"ns\":%lld}}",
+                      TraceName(r.type).c_str(), r.aux, Us(r.when), node, thread(r.a).c_str(),
+                      static_cast<long long>(r.b));
+        add(r.when);
+        break;
+      case EventType::kConditionWake:
+        std::snprintf(buf, sizeof(buf),
+                      "{\"name\":\"condition-wake cond-%d\",\"ph\":\"i\",\"ts\":%.3f,"
+                      "\"pid\":%d,\"tid\":\"sync\",\"s\":\"t\",\"cat\":\"sync\","
+                      "\"args\":{\"woken\":%lld}}",
+                      r.aux, Us(r.when), node, static_cast<long long>(r.a));
+        add(r.when);
+        break;
+      case EventType::kThreadCreate: {
+        const std::string name = thread(r.a);
+        std::snprintf(buf, sizeof(buf),
+                      "{\"name\":\"thread-create %s\",\"ph\":\"i\",\"ts\":%.3f,\"pid\":%d,"
+                      "\"tid\":\"%s (cpu)\",\"s\":\"t\",\"cat\":\"sched\"}",
+                      name.c_str(), Us(r.when), node, name.c_str());
+        add(r.when);
+        break;
+      }
+      case EventType::kObjectMove:
+        dst = r.aux;
+        [[fallthrough]];
+      case EventType::kReplicaInstall: {
+        const int ordinal =
+            ordinals.try_emplace(r.a, static_cast<int>(ordinals.size())).first->second;
+        const std::string kind = TraceName(r.type);
+        std::snprintf(buf, sizeof(buf),
+                      "{\"name\":\"%s obj-%d %d->%d\",\"ph\":\"i\",\"ts\":%.3f,\"pid\":%d,"
+                      "\"tid\":\"%s\",\"s\":\"p\",\"cat\":\"%s\",\"args\":{\"bytes\":%lld}}",
+                      kind.c_str(), ordinal, node, dst, Us(r.when), node, kind.c_str(),
+                      kind.c_str(), static_cast<long long>(r.b));
+        add(r.when);
+        break;
+      }
+      case EventType::kMessageDropped:
+        dst = r.aux;
+        std::snprintf(buf, sizeof(buf),
+                      "{\"name\":\"drop %d->%d (%s)\",\"ph\":\"i\",\"ts\":%.3f,\"pid\":%d,"
+                      "\"tid\":\"net\",\"s\":\"p\",\"cat\":\"fault\",\"args\":{\"bytes\":%lld}}",
+                      node, dst, DropName(r.flag), Us(r.when), node, static_cast<long long>(r.a));
+        add(r.when);
+        break;
+      case EventType::kMessageDuplicated:
+        dst = r.aux;
+        std::snprintf(buf, sizeof(buf),
+                      "{\"name\":\"dup %d->%d\",\"ph\":\"i\",\"ts\":%.3f,\"pid\":%d,"
+                      "\"tid\":\"net\",\"s\":\"p\",\"cat\":\"fault\",\"args\":{\"bytes\":%lld}}",
+                      node, dst, Us(r.when), node, static_cast<long long>(r.a));
+        add(r.when);
+        break;
+      case EventType::kMessageDelayed:
+        dst = r.aux;
+        std::snprintf(buf, sizeof(buf),
+                      "{\"name\":\"delay %d->%d\",\"ph\":\"i\",\"ts\":%.3f,\"pid\":%d,"
+                      "\"tid\":\"net\",\"s\":\"p\",\"cat\":\"fault\",\"args\":{\"extra_ns\":%lld}}",
+                      node, dst, Us(r.when), node, static_cast<long long>(r.a));
+        add(r.when);
+        break;
+      case EventType::kNodeCrash:
+      case EventType::kNodeRestart:
+        std::snprintf(buf, sizeof(buf),
+                      "{\"name\":\"%s node-%d\",\"ph\":\"i\",\"ts\":%.3f,\"pid\":%d,"
+                      "\"tid\":\"fault\",\"s\":\"p\",\"cat\":\"fault\"}",
+                      TraceName(r.type).c_str(), node, Us(r.when), node);
+        add(r.when);
+        break;
+      case EventType::kRpcRetry:
+      case EventType::kRpcTimeout:
+        dst = r.aux;
+        std::snprintf(buf, sizeof(buf),
+                      "{\"name\":\"%s %d->%d\",\"ph\":\"i\",\"ts\":%.3f,\"pid\":%d,"
+                      "\"tid\":\"rpc\",\"s\":\"t\",\"cat\":\"fault\","
+                      "\"args\":{\"id\":%lld,\"attempt\":%lld}}",
+                      TraceName(r.type).c_str(), node, dst, Us(r.when), node,
+                      static_cast<long long>(r.a), static_cast<long long>(r.b));
+        add(r.when);
+        break;
+      default:
+        continue;  // joins, backoff, membership and recovery are not drawn
+    }
+    max_node = std::max({max_node, node, dst});
+  }
+
+  std::stable_sort(lines.begin(), lines.end(), [](const Line& a, const Line& b) {
+    return a.ts != b.ts ? a.ts < b.ts : a.seq < b.seq;
+  });
+
+  out << "{\"traceEvents\":[\n";
+  for (NodeId n = 0; n <= max_node; ++n) {
+    out << (n == 0 ? "" : ",\n") << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << n
+        << ",\"args\":{\"name\":\"node " << n << "\"}}";
+  }
+  for (const Line& l : lines) {
+    out << ",\n" << l.json;
+  }
+  out << "\n]}\n";
 }
 
 }  // namespace fdr

@@ -2,16 +2,17 @@
 //
 // A fdr::Recorder subscribes to the amber::RuntimeObserver bus and encodes
 // *every* event — scheduler, invocation, lock, RPC, migration, fault,
-// membership, recovery — into fixed-size per-node ring buffers of compact
-// 56-byte binary records (O(1) append, no allocation once the rings are
-// sized; an overwritten record counts as dropped). Alongside the rings it
-// keeps small tables fed by the same events: who holds and who waits on
-// every lock, which reliable roundtrips are in flight and how many times
-// they have been retransmitted, which objects were touched recently, and
-// each node's suspicion view. What each thread is doing, what it waits on
-// and what it holds come from the runtime's amber::ThreadModel; a blocked
-// thread's wait is named by the last cause marker armed before the block
-// (rpc retransmissions aside).
+// membership, recovery — into per-node ring buffers of compact 56-byte
+// binary records. A ring grows on demand as records arrive, up to
+// Config::ring_capacity; from then on it overwrites its oldest record
+// (O(1) append, no allocation once full; an overwritten record counts as
+// dropped). Alongside the rings it keeps small tables fed by the same
+// events: who holds and who waits on every lock, which reliable roundtrips
+// are in flight and how many times they have been retransmitted, which
+// objects were touched recently, and each node's suspicion view. What each
+// thread is doing, what it waits on and what it holds come from the
+// runtime's amber::ThreadModel; a blocked thread's wait is named by the
+// last cause marker armed before the block (rpc retransmissions aside).
 //
 // On amber::Panic (failed AMBER_CHECK included), on injected-fault
 // divergence, or on an explicit Runtime::DumpBlackBox(path), WriteDump
@@ -24,6 +25,11 @@
 // runs dump byte-identical documents. Render a human report from the dump
 // with the amber-fdr CLI (src/apps/fdr).
 //
+// The recorder is the runtime's one event log: WriteChromeTrace renders the
+// same seq-merged records as a chrome://tracing document (load it in
+// https://ui.perfetto.dev). A recorder with ring_capacity = SIZE_MAX keeps
+// the whole run, so its trace covers every event.
+//
 // Contract: the recorder is an observer-only tap. Attaching it changes no
 // virtual time and no existing output; detaching leaves the binary
 // behaviour untouched (tests/fdr_test.cc asserts both).
@@ -33,6 +39,7 @@
 //   rec.AttachTo(rt);            // observer fan-out + panic hook
 //   rt.Run(...);                 // any Panic now flushes FDR_chaos.json
 //   rt.DumpBlackBox("FDR_chaos.json");   // or flush explicitly
+//   rec.WriteChromeTrace(out);   // after Run(): the retained window as a trace
 
 #ifndef AMBER_SRC_FDR_FDR_H_
 #define AMBER_SRC_FDR_FDR_H_
@@ -59,7 +66,8 @@ using amber::Time;
 
 struct Config {
   std::string name = "amber";   // dump stem: panic dumps go to FDR_<name>.json
-  size_t ring_capacity = 4096;  // records retained per node (the last-K window)
+  size_t ring_capacity = 4096;  // records retained per node (the last-K window);
+                                // SIZE_MAX retains the whole run
   size_t dump_objects = 32;     // most-recently-touched objects dumped with chains
 };
 
@@ -107,9 +115,9 @@ class Recorder : public amber::BlackBox {
  public:
   explicit Recorder(Config config = {});
 
-  // Sizes one ring per node and registers with the runtime: observer
-  // fan-out (AddObserver semantics — zero virtual-time cost) plus the
-  // panic hook via Runtime::SetBlackBox. Call before Run(). The recorder
+  // Creates one (empty) ring per node and registers with the runtime:
+  // observer fan-out (AddObserver semantics — zero virtual-time cost) plus
+  // the panic hook via Runtime::SetBlackBox. Call before Run(). The recorder
   // must outlive the runtime or be detached with rt.SetBlackBox(nullptr).
   void AttachTo(amber::Runtime& rt);
 
@@ -134,6 +142,15 @@ class Recorder : public amber::BlackBox {
   void PublishMetrics(metrics::Registry* registry) override;
 
   const Config& config() const { return config_; }
+
+  // chrome://tracing "trace event format" JSON of the retained records, in
+  // seq order: pid = node; tid = thread name for invocation spans and lock
+  // instants, "<thread> (cpu)" for thread-running spans and migration flow
+  // arrows, "net" / "rpc" rows for messages, roundtrips and faults. Thread
+  // names come from the runtime's ThreadModel ("t<id>" for a thread never
+  // seen); moved and replicated objects are "obj-N", numbered in first-seen
+  // order. Same records, same bytes.
+  void WriteChromeTrace(std::ostream& out) const;
 
   // --- amber::RuntimeObserver -------------------------------------------------
   void OnThreadMigrate(Time when, NodeId src, NodeId dst, ThreadId thread,
@@ -205,7 +222,7 @@ class Recorder : public amber::BlackBox {
   static_assert(sizeof(Record) == 56, "compact record layout");
 
   struct Ring {
-    std::vector<Record> buf;  // capacity fixed when the ring is created
+    std::vector<Record> buf;  // grows on demand up to config_.ring_capacity
     uint64_t appended = 0;
     // Marks for delta publication of fdr.recorded / fdr.dropped.
     uint64_t published_recorded = 0;
@@ -228,7 +245,7 @@ class Recorder : public amber::BlackBox {
   };
 
   struct ObjectLive {
-    std::string label;   // demangled class + ordinal, from the first invoke
+    std::string label;   // demangled class, from the first invoke
     NodeId node = -1;    // last known location
     Time last_touch = 0;
   };
@@ -242,6 +259,9 @@ class Recorder : public amber::BlackBox {
   }
   int ObjectId(const void* obj);
   void TouchObject(int id, NodeId node, Time when);
+
+  // Every retained record across the rings, in global append (seq) order.
+  std::vector<const Record*> Merged() const;
 
   // Dump helpers (fdr.cc).
   void RenderEvent(std::ostream& out, const Record& r) const;

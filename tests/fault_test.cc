@@ -1,5 +1,5 @@
 // Tests for the fault-injection subsystem wired into the full runtime:
-// seeded determinism (same plan + seed → byte-identical metrics and traces),
+// seeded determinism (same plan + seed → byte-identical metrics and event logs),
 // the empty-plan inertness contract, crash/restart survival, and the typed
 // Status surface for moves aimed at dead or partitioned nodes.
 
@@ -7,14 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 
 #include "src/core/amber.h"
 #include "src/fault/membership.h"
+#include "src/fdr/fdr.h"
 #include "src/metrics/metrics.h"
 #include "src/rpc/wire.h"
-#include "src/trace/trace.h"
 
 namespace amber {
 namespace {
@@ -71,28 +72,29 @@ fault::FaultPlan LossyPlan(uint64_t seed) {
 }
 
 // Runs the chatty workload under `plan` and returns "metrics-json \x1e
-// trace-text" for byte-comparison.
+// flight-recorder dump" for byte-comparison.
 std::string RunAndCapture(const fault::FaultPlan& plan) {
   Runtime rt(TestConfig());
   fault::Injector injector(plan);
   metrics::Registry metrics;
-  trace::Tracer tracer;
+  fdr::Recorder recorder({.name = "fault", .ring_capacity = SIZE_MAX});
   rt.SetMetrics(&metrics);
-  rt.SetObserver(&tracer);
+  recorder.AttachTo(rt);
   rt.SetFaultInjector(&injector);
   rt.SetFailureHandler([](const FailureEvent&) { return FailureAction::kRetry; });
   rt.Run([] { ChattyWorkload(); });
+  EXPECT_EQ(recorder.dropped(), 0) << "the fingerprint must cover the whole run";
   std::ostringstream out;
   metrics.WriteJson(out);
   out << '\x1e';
-  tracer.WriteText(out);
+  recorder.WriteDump(out, "explicit", "");
   return out.str();
 }
 
 TEST(FaultDeterminismTest, SameSeedSameBytesDifferentSeedDiffers) {
   const std::string run1 = RunAndCapture(LossyPlan(7));
   const std::string run2 = RunAndCapture(LossyPlan(7));
-  EXPECT_EQ(run1, run2);  // byte-identical metrics + trace
+  EXPECT_EQ(run1, run2);  // byte-identical metrics + event log
 
   const std::string other = RunAndCapture(LossyPlan(8));
   EXPECT_NE(run1, other);  // a different seed is a different failure history

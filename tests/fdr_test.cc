@@ -1,16 +1,16 @@
-// Tests for the flight data recorder (src/fdr): ring wraparound
-// accounting, deterministic dumps, the panic-triggered black box (a real
-// death test — the dump is written by the dying child process and then
-// analyzed by the parent), and the observer-only contract (recorder
-// attached vs. detached changes no virtual time).
+// Tests for the flight data recorder (src/fdr): ring accounting, the event
+// log and its Chrome trace, deterministic dumps, the panic-triggered black
+// box (a death test) and the observer-only contract.
 
 #include "src/fdr/fdr.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <set>
 #include <string>
 
 #include "src/apps/fdr/fdr_report.h"
@@ -208,6 +208,193 @@ TEST(FdrDumpTest, ExplicitDumpViaRuntime) {
   }
   EXPECT_TRUE(found_resident) << "expected an object resident on node 1 in " << ReadFile(path);
   std::remove(path.c_str());
+}
+
+// --- The event log and its Chrome trace --------------------------------------
+
+fdrtool::Json DumpOf(fdr::Recorder& rec) {
+  std::ostringstream out;
+  rec.WriteDump(out, "explicit", "");
+  return ParseDump(out.str());
+}
+
+int CountType(const fdrtool::Json& dump, const std::string& type) {
+  int n = 0;
+  for (const fdrtool::Json& e : dump.Get("events")->arr) {
+    n += e.Str("type") == type ? 1 : 0;
+  }
+  return n;
+}
+
+// A move, a migrating thread and its join: every kind of traffic at once.
+void MoveAndVisit() {
+  auto c = New<Counter>();
+  MoveTo(c, 2);                                // one object move
+  auto t = StartThread(c, &Counter::Add, 1);   // thread migrates 0 -> 2
+  t.Join();
+}
+
+TEST(FdrLogTest, RecordsMovesMigrationsAndMessagesInOrder) {
+  Runtime rt(TestConfig());
+  fdr::Recorder rec({.name = "log", .ring_capacity = SIZE_MAX});
+  rec.AttachTo(rt);
+  rt.Run(MoveAndVisit);
+  EXPECT_EQ(rec.dropped(), 0);
+  const fdrtool::Json dump = DumpOf(rec);
+  EXPECT_EQ(CountType(dump, "object_move"), 1);
+  EXPECT_GE(CountType(dump, "thread_migrate"), 2);  // worker + joiner
+  EXPECT_GE(CountType(dump, "message"), 3);
+  // Distribution records are in nondecreasing virtual time along seq.
+  // (Scheduler and invocation records can run a context switch ahead of
+  // the event clock; the Chrome renderer sorts by timestamp.)
+  const std::set<std::string> distribution = {"thread_migrate", "object_move",
+                                              "replica_install", "message"};
+  int64_t prev = 0;
+  for (const fdrtool::Json& e : dump.Get("events")->arr) {
+    if (distribution.count(e.Str("type")) != 0) {
+      EXPECT_GE(e.Int("t"), prev);
+      prev = e.Int("t");
+    }
+  }
+}
+
+TEST(FdrLogTest, RecordsReplicaInstalls) {
+  Runtime rt(TestConfig());
+  fdr::Recorder rec({.name = "replica", .ring_capacity = SIZE_MAX});
+  rec.AttachTo(rt);
+  rt.Run([] {
+    auto c = New<Counter>();
+    MakeImmutable(c);
+    MoveTo(c, 1);  // replicate
+  });
+  EXPECT_EQ(CountType(DumpOf(rec), "replica_install"), 1);
+}
+
+TEST(FdrLogTest, DetachStopsRecording) {
+  Runtime rt(TestConfig());
+  fdr::Recorder rec({.name = "detached"});
+  rec.AttachTo(rt);
+  rt.SetBlackBox(nullptr);
+  rt.Run(MoveAndVisit);
+  EXPECT_EQ(rec.recorded(), 0);
+}
+
+// Two classes of one size: the segment allocator hands a freed Alpha's
+// block to the next Beta.
+class Alpha : public Object {
+ public:
+  int Get() { return value_; }
+
+ private:
+  int value_ = 1;
+};
+
+class Beta : public Object {
+ public:
+  int Get() { return value_; }
+
+ private:
+  int value_ = 2;
+};
+static_assert(sizeof(Alpha) == sizeof(Beta));
+
+TEST(FdrLogTest, ReusedAddressIsANewObject) {
+  Runtime rt(TestConfig());
+  fdr::Recorder rec({.name = "reuse", .ring_capacity = SIZE_MAX});
+  rec.AttachTo(rt);
+  bool reused = false;
+  rt.Run([&] {
+    auto a = New<Alpha>();
+    a.Call(&Alpha::Get);
+    const Object* where = a.object();
+    Delete(a);
+    auto b = New<Beta>();
+    reused = b.object() == where;
+    b.Call(&Beta::Get);
+  });
+  ASSERT_TRUE(reused) << "the scenario needs the allocator to reuse the block";
+  const fdrtool::Json dump = DumpOf(rec);
+  int64_t alpha = -1;
+  int64_t beta = -1;
+  for (const fdrtool::Json& o : dump.Get("objects")->arr) {
+    if (o.Str("label").find("Alpha") != std::string::npos) {
+      alpha = o.Int("id");
+    }
+    if (o.Str("label").find("Beta") != std::string::npos) {
+      beta = o.Int("id");
+    }
+  }
+  ASSERT_NE(alpha, -1);
+  ASSERT_NE(beta, -1) << "the live Beta must not keep the dead Alpha's identity";
+  EXPECT_NE(alpha, beta);
+  // The last invocation (Beta::Get) names Beta's id, and so does its span.
+  int64_t last_invoked = -1;
+  for (const fdrtool::Json& e : dump.Get("events")->arr) {
+    if (e.Str("type") == "invoke_enter") {
+      last_invoked = e.Int("object");
+    }
+  }
+  EXPECT_EQ(last_invoked, beta);
+  std::ostringstream trace;
+  rec.WriteChromeTrace(trace);
+  EXPECT_NE(trace.str().find("Beta\",\"ph\":\"X\""), std::string::npos) << trace.str();
+}
+
+// Checks a rendered trace parses and every flow arrow that ends also starts.
+void ExpectWellFormedTrace(const std::string& text) {
+  const fdrtool::Json trace = ParseDump(text);
+  const fdrtool::Json* events = trace.Get("traceEvents");
+  ASSERT_NE(events, nullptr) << text;
+  ASSERT_FALSE(events->arr.empty());
+  EXPECT_EQ(events->arr[0].Str("ph"), "M");  // node 0's process_name first
+  std::set<int64_t> started;
+  std::set<int64_t> finished;
+  for (const fdrtool::Json& e : events->arr) {
+    if (e.Str("ph") == "s") {
+      started.insert(e.Int("id"));
+    }
+    if (e.Str("ph") == "f") {
+      finished.insert(e.Int("id"));
+    }
+  }
+  for (int64_t id : finished) {
+    EXPECT_EQ(started.count(id), 1u) << "flow " << id << " ends without a start";
+  }
+}
+
+TEST(FdrChromeTraceTest, WellFormedFromWholeRunAndWrappedRing) {
+  for (size_t capacity : {SIZE_MAX, size_t{4}}) {
+    Runtime rt(TestConfig());
+    fdr::Recorder rec({.name = "chrome", .ring_capacity = capacity});
+    rec.AttachTo(rt);
+    rt.Run(MoveAndVisit);
+    std::ostringstream out;
+    rec.WriteChromeTrace(out);
+    ExpectWellFormedTrace(out.str());
+    if (capacity == SIZE_MAX) {
+      EXPECT_EQ(rec.dropped(), 0);
+      EXPECT_NE(out.str().find("object-move obj-0 0->2"), std::string::npos);
+      EXPECT_NE(out.str().find("\"cat\":\"invoke\""), std::string::npos);
+      EXPECT_NE(out.str().find("\"ph\":\"f\""), std::string::npos) << "migration arrow";
+    } else {
+      EXPECT_GT(rec.dropped(), 0) << "the ring must have wrapped";
+    }
+  }
+}
+
+TEST(FdrChromeTraceTest, SameSeedSameBytes) {
+  auto once = [] {
+    Runtime rt(TestConfig());
+    fdr::Recorder rec({.name = "det", .ring_capacity = SIZE_MAX});
+    rec.AttachTo(rt);
+    rt.Run(MoveAndVisit);
+    std::ostringstream out;
+    rec.WriteChromeTrace(out);
+    return out.str();
+  };
+  const std::string first = once();
+  EXPECT_FALSE(first.empty());
+  EXPECT_EQ(first, once());
 }
 
 // --- The black box itself ----------------------------------------------------

@@ -5,12 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 
 #include "src/core/amber.h"
 #include "src/core/cluster_report.h"
 #include "src/core/placement.h"
-#include "src/trace/trace.h"
+#include "src/fdr/fdr.h"
 
 namespace amber {
 namespace {
@@ -74,8 +75,8 @@ TEST(IntegrationTest, ShardedComputationWithPlacementAndTrace) {
   config.procs_per_node = 2;
   config.arena_bytes = size_t{256} << 20;
   Runtime rt(config);
-  trace::Tracer tracer;
-  rt.SetObserver(&tracer);
+  fdr::Recorder recorder({.name = "integration", .ring_capacity = SIZE_MAX});
+  recorder.AttachTo(rt);
 
   constexpr int kShards = 8;
   constexpr int kItemsPerShard = 50;
@@ -113,8 +114,9 @@ TEST(IntegrationTest, ShardedComputationWithPlacementAndTrace) {
   for (NodeId n = 0; n < 4; ++n) {
     EXPECT_GT(rt.sim().NodeBusyTime(n), Millis(20)) << "node " << n;
   }
-  // The tracer saw the worker migrations and the report traffic.
-  EXPECT_GT(tracer.size(), 20u);
+  // The recorder saw the worker migrations and the report traffic.
+  EXPECT_GT(recorder.recorded(), 20);
+  EXPECT_EQ(recorder.dropped(), 0);
   // And the cluster report renders with migrations on every row.
   const std::string report = ClusterReport(rt, elapsed);
   EXPECT_NE(report.find("thread-migration matrix"), std::string::npos);

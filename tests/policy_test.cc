@@ -9,15 +9,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 
 #include "src/apps/sor/sor.h"
 #include "src/core/amber.h"
 #include "src/fault/fault.h"
+#include "src/fdr/fdr.h"
 #include "src/metrics/metrics.h"
 #include "src/prof/profiler.h"
-#include "src/trace/trace.h"
 
 namespace amber {
 namespace {
@@ -111,9 +112,9 @@ TEST(PolicyHotspotTest, EnabledRunsAreSeedDeterministic) {
   auto capture = [] {
     Runtime rt(TestConfig());
     metrics::Registry metrics;
-    trace::Tracer tracer;
+    fdr::Recorder recorder({.name = "policy", .ring_capacity = SIZE_MAX});
     rt.SetMetrics(&metrics);
-    rt.SetObserver(&tracer);
+    recorder.AttachTo(rt);
     policy::PolicyConfig pc;
     pc.enabled = true;
     policy::PlacementPolicy policy(pc);
@@ -127,11 +128,12 @@ TEST(PolicyHotspotTest, EnabledRunsAreSeedDeterministic) {
       auto t = StartThread(driver, &Driver::Run, counter, 64, kMicrosecond * 20);
       t.Join();
     });
+    EXPECT_EQ(recorder.dropped(), 0) << "the fingerprint must cover the whole run";
     std::ostringstream out;
     out << end << '\x1e';
     metrics.WriteJson(out);
     out << '\x1e';
-    tracer.WriteText(out);
+    recorder.WriteDump(out, "explicit", "");
     return out.str();
   };
   const std::string run1 = capture();
@@ -180,9 +182,9 @@ TEST(PolicyChaosTest, StaysStableUnderLossyPlanAndPiggybacksOnHeartbeats) {
     Runtime rt(TestConfig());
     fault::Injector injector(plan);
     metrics::Registry metrics;
-    trace::Tracer tracer;
+    fdr::Recorder recorder({.name = "policy", .ring_capacity = SIZE_MAX});
     rt.SetMetrics(&metrics);
-    rt.SetObserver(&tracer);
+    recorder.AttachTo(rt);
     rt.SetFaultInjector(&injector);  // creates the membership service...
     rt.SetFailureHandler([](const FailureEvent&) { return FailureAction::kRetry; });
     policy::PolicyConfig pc;
@@ -205,11 +207,12 @@ TEST(PolicyChaosTest, StaysStableUnderLossyPlanAndPiggybacksOnHeartbeats) {
     if (summaries != nullptr) {
       *summaries = policy.summaries_received();
     }
+    EXPECT_EQ(recorder.dropped(), 0) << "the fingerprint must cover the whole run";
     std::ostringstream out;
     out << end << '\x1e';
     metrics.WriteJson(out);
     out << '\x1e';
-    tracer.WriteText(out);
+    recorder.WriteDump(out, "explicit", "");
     return out.str();
   };
 
@@ -234,15 +237,16 @@ TEST(PolicyDisabledTest, AttachedButDisabledPolicyIsByteInert) {
   };
   auto capture = [&](policy::PlacementPolicy* policy) {
     Runtime rt(TestConfig());
-    trace::Tracer tracer;
-    rt.SetObserver(&tracer);
+    fdr::Recorder recorder({.name = "policy", .ring_capacity = SIZE_MAX});
+    recorder.AttachTo(rt);
     if (policy != nullptr) {
       policy->AttachTo(rt);
     }
     const Time end = rt.Run(workload);
+    EXPECT_EQ(recorder.dropped(), 0) << "the fingerprint must cover the whole run";
     std::ostringstream out;
     out << end << '\x1e';
-    tracer.WriteText(out);
+    recorder.WriteDump(out, "explicit", "");
     return out.str();
   };
 
@@ -250,7 +254,7 @@ TEST(PolicyDisabledTest, AttachedButDisabledPolicyIsByteInert) {
   policy::PlacementPolicy disabled;  // default config: enabled = false
   const std::string watched = capture(&disabled);
   // The whole observe-only contract: virtual end time and the full event
-  // trace are byte-identical with the disabled policy attached.
+  // log are byte-identical with the disabled policy attached.
   EXPECT_EQ(bare, watched);
   EXPECT_EQ(disabled.pulls_granted(), 0);
   EXPECT_EQ(disabled.summaries_sent(), 0);  // no gossip either
