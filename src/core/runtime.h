@@ -18,9 +18,9 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "src/base/flat_ptr_map.h"
 #include "src/base/time.h"
 #include "src/core/status.h"
 #include "src/fault/fault.h"
@@ -650,7 +650,6 @@ class Runtime {
   std::vector<std::unique_ptr<DescriptorTable>> tables_;
   std::vector<PendingAllocation> pending_;   // nested New stack
   std::vector<ThreadObject*> threads_;       // for teardown
-  std::unordered_set<Object*> live_objects_;  // primaries, for validation
   int64_t objects_created_ = 0;
   int64_t objects_moved_ = 0;
   int64_t replicas_installed_ = 0;
@@ -675,10 +674,16 @@ class Runtime {
     Time when = 0;
   };
   std::unordered_map<Object*, CheckpointRecord> checkpoints_;
-  // Creation-sequence number per live primary: the deterministic iteration
-  // order for DrainNode and the object label on fault.unreachable (pointer
-  // order would vary with arena layout).
-  std::unordered_map<const Object*, uint64_t> obj_seq_;
+  // Every primary, from its constructor to its destructor. `seq` is its
+  // creation-sequence number: the deterministic order for DrainNode and the
+  // object label on fault.unreachable (pointer order would vary with arena
+  // layout). `live` is set once construction finishes; the live primaries
+  // are what validation, drain and boot-time repair walk.
+  struct ObjectEntry {
+    uint64_t seq : 63;
+    uint64_t live : 1;
+  };
+  FlatPtrMap<Object*, ObjectEntry> objects_;
   uint64_t next_obj_seq_ = 1;
   // Ground-truth crash instants (injector hook) for member.detect_latency.
   std::vector<Time> crash_time_;

@@ -9,6 +9,10 @@
 // from the table — and is resolved via the object's home node, computed from
 // its address (§3.3).
 //
+// The paper reads a descriptor at the object's own address, one memory read.
+// The nearest host equivalent is a FlatPtrMap: descriptors sit inline in one
+// slot array per node, found by a short linear probe from the address hash.
+//
 // Invariant (checked by tests): at any ordered point, exactly one node's
 // table marks a mutable object kResident, and every forwarding chain
 // terminates at that node.
@@ -18,8 +22,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 
+#include "src/base/flat_ptr_map.h"
 #include "src/base/panic.h"
 #include "src/base/stats.h"
 #include "src/sim/fiber.h"
@@ -50,13 +54,13 @@ class DescriptorTable {
   Descriptor Lookup(const void* obj) const {
     lookups_.Add();
     telemetry::CountIfActive(telemetry::Count::kDescriptorLookups);
-    auto it = map_.find(obj);
-    return it == map_.end() ? Descriptor{} : it->second;
+    const Descriptor* d = map_.Find(obj);
+    return d == nullptr ? Descriptor{} : *d;
   }
 
   bool IsResident(const void* obj) const {
-    auto it = map_.find(obj);
-    return it != map_.end() && it->second.state == Residency::kResident;
+    const Descriptor* d = map_.Find(obj);
+    return d != nullptr && d->state == Residency::kResident;
   }
 
   void SetResident(const void* obj) { map_[obj] = {Residency::kResident, kNoNode}; }
@@ -77,21 +81,19 @@ class DescriptorTable {
 
   // Object deleted on this node: drop local knowledge. Stale entries on
   // other nodes are tolerated by the heap's no-split rule (§3.2).
-  void Erase(const void* obj) { map_.erase(obj); }
+  void Erase(const void* obj) { map_.Erase(obj); }
 
   NodeId node() const { return node_; }
   size_t entries() const { return map_.size(); }
   int64_t lookups() const { return lookups_.value(); }
 
   void ForEach(const std::function<void(const void*, const Descriptor&)>& fn) const {
-    for (const auto& [obj, d] : map_) {
-      fn(obj, d);
-    }
+    map_.ForEach(fn);
   }
 
  private:
   NodeId node_;
-  std::unordered_map<const void*, Descriptor> map_;
+  FlatPtrMap<const void*, Descriptor> map_;
   mutable ::amber::Counter lookups_;
 };
 

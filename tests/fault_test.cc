@@ -170,6 +170,43 @@ TEST(FaultCrashTest, CrashAndRestartSurviveWithRetryHandler) {
       << " timeouts=" << rt.transport().timeouts() << " end=" << rt.now();
 }
 
+// fault.unreachable is labelled obj<seq>@node<n>: the chased object's
+// creation-sequence number (stable across runs, unlike its address) and the
+// node that did not answer.
+TEST(FaultCrashTest, UnreachableCounterNamesObjectSeqAndNode) {
+  Runtime rt(TestConfig());
+  metrics::Registry metrics;
+  rt.SetMetrics(&metrics);
+  fault::FaultPlan plan;
+  fault::NodeEvent ev;
+  ev.node = 2;
+  ev.crash_at = Millis(10);
+  ev.restart_at = Millis(60);
+  plan.node_events.push_back(ev);
+  fault::Injector injector(plan);
+  rt.SetFaultInjector(&injector);
+  rpc::RetryPolicy policy;
+  policy.timeout = Millis(2);
+  policy.timeout_cap = Millis(8);
+  policy.max_attempts = 3;
+  rt.transport().SetRetryPolicy(policy);
+  rt.SetFailureHandler([](const FailureEvent&) { return FailureAction::kRetry; });
+  rt.Run([&] {
+    // Object 1 is the root thread; these are objects 2 and 3.
+    auto bystander = New<Counter>();
+    auto parked = New<Counter>();
+    ASSERT_EQ(MoveTo(parked, 2), Status::kOk);
+    Work(Millis(12));  // let the crash land
+    EXPECT_EQ(parked.Call(&Counter::Add, 1), 1);  // retried across the outage
+    EXPECT_EQ(bystander.Call(&Counter::Add, 1), 1);
+  });
+  const metrics::Registry::CounterFamily* family = metrics.FindCounters("fault.unreachable");
+  ASSERT_NE(family, nullptr) << "the call never reported its dead owner";
+  ASSERT_EQ(family->size(), 1u);
+  EXPECT_EQ(family->begin()->first, "obj3@node2");
+  EXPECT_GT(family->begin()->second.value(), 0);
+}
+
 TEST(FaultStatusTest, MoveToDeadNodeReturnsUnreachable) {
   Runtime rt(TestConfig());
   fault::FaultPlan plan;

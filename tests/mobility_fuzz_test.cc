@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <vector>
 
 #include "src/base/rng.h"
@@ -155,6 +156,77 @@ TEST_P(MobilityFuzz, RandomOpsPreserveInvariants) {
 INSTANTIATE_TEST_SUITE_P(Seeds, MobilityFuzz,
                          ::testing::Values(0x1uLL, 0x2uLL, 0x3uLL, 0xDEADBEEFuLL, 0xA5A5A5uLL,
                                            0x123456789uLL, 0x42uLL, 0x777uLL));
+
+// Churn variant: objects are created and deleted as well as moved, so the
+// runtime's object registry and the descriptor tables see erases, and the
+// segment allocator hands freed addresses to new objects while other nodes
+// may still hold stale forwarding hints for them.
+class ChurnFuzzer : public Object {
+ public:
+  struct Stats {
+    int deletes = 0;
+    int moves = 0;
+    int reused_addresses = 0;
+  };
+
+  Stats Run(uint64_t seed, int steps, size_t max_live) {
+    Runtime& rt = Runtime::Current();
+    Rng rng(seed);
+    Stats stats;
+    std::vector<Ref<Cell>> cells;
+    std::vector<int> expected;
+    std::set<void*> freed;
+    for (int step = 0; step < steps; ++step) {
+      const uint64_t op = rng.Below(8);
+      if (cells.empty() || (op < 2 && cells.size() < max_live)) {
+        cells.push_back(New<Cell>());
+        expected.push_back(0);
+        stats.reused_addresses += freed.erase(cells.back().unchecked()) == 1 ? 1 : 0;
+      } else {
+        const auto i = static_cast<size_t>(rng.Below(cells.size()));
+        if (op < 4) {  // delete, wherever the object now lives
+          EXPECT_EQ(cells[i].Call(&Cell::Get), expected[i]);
+          freed.insert(cells[i].unchecked());
+          Delete(cells[i]);
+          cells[i] = cells.back();
+          cells.pop_back();
+          expected[i] = expected.back();
+          expected.pop_back();
+          ++stats.deletes;
+        } else if (op < 6) {
+          MoveTo(cells[i], static_cast<NodeId>(rng.Below(static_cast<uint64_t>(Nodes()))));
+          ++stats.moves;
+        } else {
+          cells[i].Call(&Cell::Bump);
+          ++expected[i];
+        }
+      }
+      if (step % 16 == 0) {
+        rt.ValidateLocationInvariants();
+      }
+    }
+    rt.ValidateLocationInvariants();
+    for (size_t i = 0; i < cells.size(); ++i) {
+      EXPECT_EQ(cells[i].Call(&Cell::Get), expected[i]) << "object " << i;
+    }
+    return stats;
+  }
+};
+
+TEST_P(MobilityFuzz, NewDeleteMoveChurnPreservesInvariants) {
+  Runtime::Config config;
+  config.nodes = 6;
+  config.procs_per_node = 2;
+  config.arena_bytes = size_t{256} << 20;
+  Runtime rt(config);
+  rt.Run([&] {
+    auto fuzzer = New<ChurnFuzzer>();
+    const auto stats = fuzzer.Call(&ChurnFuzzer::Run, GetParam(), 1500, size_t{48});
+    EXPECT_GT(stats.deletes, 100);
+    EXPECT_GT(stats.moves, 100);
+    EXPECT_GT(stats.reused_addresses, 20) << "freed addresses never came back";
+  });
+}
 
 // Chaos variant: the same fuzz schedule under the standard lossy plan (5%
 // drop, 2% duplication, 5% delay on every link) plus one mid-run node
