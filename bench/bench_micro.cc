@@ -5,6 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "src/mem/address_space.h"
 #include "src/mem/region_server.h"
 #include "src/mem/segment_alloc.h"
+#include "src/metrics/metrics.h"
 #include "src/rpc/wire.h"
 #include "src/sim/context.h"
 #include "src/sim/event_queue.h"
@@ -126,6 +128,54 @@ void BM_DescriptorLookupCold(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DescriptorLookupCold);
+
+// --- Metrics registry ------------------------------------------------------------------
+
+// A registry holding the families the runtime pre-registers for 8 nodes.
+// Records are spread over the 8 per-node instances of one family; the
+// iteration count is fixed because every record retains its sample.
+constexpr int kMetricNodes = 8;
+constexpr int64_t kRecordIterations = 4'000'000;
+
+void FillRegistry(metrics::Registry* reg) {
+  for (int n = 0; n < kMetricNodes; ++n) {
+    for (const char* name : {"amber.invoke.latency.local", "amber.invoke.latency.remote",
+                             "sched.runqueue.wait", "sched.runqueue.depth", "sync.lock.wait",
+                             "rpc.roundtrip.latency"}) {
+      reg->GetHistogram(name, n);
+    }
+  }
+}
+
+// Looks the instance up by name and node label on every record.
+void BM_HistogramRecordByName(benchmark::State& state) {
+  metrics::Registry reg;
+  FillRegistry(&reg);
+  int i = 0;
+  for (auto _ : state) {
+    reg.GetHistogram("sched.runqueue.wait", i & (kMetricNodes - 1)).Record(i);
+    ++i;
+  }
+}
+BENCHMARK(BM_HistogramRecordByName)->Iterations(kRecordIterations);
+
+// Records through instances resolved once (metrics::Registry::Resolve).
+void BM_HistogramRecordHandle(benchmark::State& state) {
+  metrics::Registry reg;
+  FillRegistry(&reg);
+  std::array<metrics::Histogram*, kMetricNodes> handles{};
+  for (int n = 0; n < kMetricNodes; ++n) {
+    reg.Resolve(handles[static_cast<size_t>(n)], [&]() -> metrics::Histogram& {
+      return reg.GetHistogram("sched.runqueue.wait", n);
+    });
+  }
+  int i = 0;
+  for (auto _ : state) {
+    handles[static_cast<size_t>(i & (kMetricNodes - 1))]->Record(i);
+    ++i;
+  }
+}
+BENCHMARK(BM_HistogramRecordHandle)->Iterations(kRecordIterations);
 
 // --- Segment allocator --------------------------------------------------------------
 

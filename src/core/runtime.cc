@@ -7,6 +7,7 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 #include <typeinfo>
 #include <unordered_map>
 #include <unordered_set>
@@ -24,20 +25,6 @@ namespace amber {
 namespace {
 
 Runtime* g_runtime = nullptr;
-
-// Human-readable dynamic type of an object (invocation span labels).
-// Demangling is deterministic: same binary, same names.
-std::string ObjectLabel(const Object* obj) {
-  if (obj == nullptr) {
-    return "stack-local";
-  }
-  const char* raw = typeid(*obj).name();
-  int status = 0;
-  char* demangled = abi::__cxa_demangle(raw, nullptr, nullptr, &status);
-  std::string out = (status == 0 && demangled != nullptr) ? demangled : raw;
-  std::free(demangled);
-  return out;
-}
 
 // Wire size of the thread control state that travels with a migrating
 // thread, excluding the stack (registers, scheduling state, frame list).
@@ -75,6 +62,150 @@ struct Runtime::Instrumentation : public sim::SchedObserver,
   explicit Instrumentation(Runtime* rt) : rt(rt) {}
 
   Runtime* rt;
+  // ObjectLabel's cache, by dynamic type.
+  std::unordered_map<const std::type_info*, std::string> type_labels;
+
+  // Human-readable dynamic type of an object (invocation span labels),
+  // demangled once per type. Demangling is deterministic: same binary, same
+  // names.
+  const std::string& ObjectLabel(const Object* obj) {
+    static const std::string kStackLocal = "stack-local";
+    if (obj == nullptr) {
+      return kStackLocal;
+    }
+    const std::type_info& type = typeid(*obj);
+    auto [it, inserted] = type_labels.try_emplace(&type);
+    if (inserted) {
+      int status = 0;
+      char* demangled = abi::__cxa_demangle(type.name(), nullptr, nullptr, &status);
+      it->second = (status == 0 && demangled != nullptr) ? demangled : type.name();
+      std::free(demangled);
+    }
+    return it->second;
+  }
+
+  // --- Hot-path metric instances ---------------------------------------------
+  //
+  // The families recorded on every dispatch, invocation, migration, message
+  // and lock event keep their instances here (Registry::Resolve), so a
+  // record is an index plus Record/Add, with no name or label string and no
+  // map walk. The families SetMetrics pre-registers are resolved there
+  // (ResolveMetrics); the rest on first use, since resolving them early
+  // would add labels to the document. Rare paths (faults, recovery, membership, drain,
+  // policy) look their metrics up by name.
+  struct NodeMetrics {
+    metrics::Histogram* invoke_local = nullptr;
+    metrics::Histogram* invoke_remote = nullptr;
+    metrics::Histogram* runqueue_wait = nullptr;
+    metrics::Histogram* runqueue_depth = nullptr;
+    metrics::Histogram* lock_wait = nullptr;
+    metrics::Histogram* rpc_roundtrip = nullptr;
+    metrics::Counter* threads_created = nullptr;
+    metrics::Counter* preempts = nullptr;
+    metrics::Counter* barrier_waits = nullptr;
+  };
+  struct LinkMetrics {
+    metrics::Counter* messages = nullptr;
+    metrics::Counter* bytes = nullptr;
+  };
+  struct LockMetrics {
+    metrics::Counter* blocked = nullptr;
+    metrics::Histogram* wait = nullptr;
+    metrics::Histogram* hold = nullptr;
+  };
+  struct HotMetrics {
+    std::vector<NodeMetrics> node;  // by node
+    std::vector<LinkMetrics> link;  // nodes x nodes, row = source
+    std::vector<LockMetrics> lock;  // by dense sync id, grown on first use
+    metrics::Histogram* migration_latency = nullptr;
+    metrics::Histogram* move_latency = nullptr;
+    metrics::Histogram* forward_chain = nullptr;
+    metrics::Histogram* lock_hold = nullptr;
+    metrics::Counter* migration_bytes = nullptr;
+    metrics::Counter* move_bytes = nullptr;
+    metrics::Counter* replica_fetches = nullptr;
+    metrics::Counter* condition_wakeups = nullptr;
+  };
+  HotMetrics hot;
+
+  // Drops every kept instance (a registry was attached, replaced or
+  // detached), then registers the live-path families in the new registry so
+  // the document always contains them (at zero) even when the run never
+  // hits a path — keeping what that registration returns.
+  void ResolveMetrics() {
+    hot = HotMetrics{};
+    if (rt->metrics_ == nullptr) {
+      return;
+    }
+    const size_t n = static_cast<size_t>(rt->nodes());
+    hot.node.resize(n);
+    hot.link.resize(n * n);
+    for (NodeId node = 0; node < rt->nodes(); ++node) {
+      NodeMetrics& m = hot.node[static_cast<size_t>(node)];
+      AtNode(m.invoke_local, "amber.invoke.latency.local", node);
+      AtNode(m.invoke_remote, "amber.invoke.latency.remote", node);
+      AtNode(m.runqueue_wait, "sched.runqueue.wait", node);
+      AtNode(m.runqueue_depth, "sched.runqueue.depth", node);
+      AtNode(m.lock_wait, "sync.lock.wait", node);
+      AtNode(m.rpc_roundtrip, "rpc.roundtrip.latency", node);
+    }
+    Total(hot.migration_latency, "amber.migration.latency");
+    Total(hot.move_latency, "amber.move.latency");
+    Total(hot.forward_chain, "amber.forward.chain");
+    Total(hot.lock_hold, "sync.lock.hold");
+    Total(hot.migration_bytes, "amber.migration.bytes");
+    Total(hot.move_bytes, "amber.move.bytes");
+    Total(hot.replica_fetches, "amber.replica.fetches");
+    Total(hot.condition_wakeups, "sync.condition.wakeups");
+  }
+
+  // The instance `slot` keeps in the attached registry, resolved through
+  // Get*(name, label()) while it is not kept (see Registry::Resolve).
+  template <typename T, typename Label>
+  T& Resolve(T*& slot, const char* name, Label label) {
+    metrics::Registry& m = *rt->metrics_;
+    return m.Resolve(slot, [&]() -> T& {
+      if constexpr (std::is_same_v<T, metrics::Counter>) {
+        return m.GetCounter(name, label());
+      } else {
+        return m.GetHistogram(name, label());
+      }
+    });
+  }
+  template <typename T>
+  T& Total(T*& slot, const char* name) {
+    return Resolve(slot, name, [] { return std::string("total"); });
+  }
+  template <typename T>
+  T& AtNode(T*& slot, const char* name, NodeId node) {
+    return Resolve(slot, name, [node] { return metrics::Registry::NodeLabel(node); });
+  }
+  NodeMetrics& NodeSlots(NodeId node) { return hot.node[static_cast<size_t>(node)]; }
+  LinkMetrics& LinkSlots(NodeId src, NodeId dst) {
+    return hot.link[static_cast<size_t>(src) * hot.node.size() + static_cast<size_t>(dst)];
+  }
+  LockMetrics& LockSlots(int id) {
+    const size_t i = static_cast<size_t>(id);
+    if (i >= hot.lock.size()) {
+      hot.lock.resize(i + 1);
+    }
+    return hot.lock[i];
+  }
+  template <typename T>
+  T& AtLock(T*& slot, const char* name, int id) {
+    return Resolve(slot, name, [id] { return "lock" + std::to_string(id); });
+  }
+
+  // One thread migration / object move.
+  void RecordMigration(Duration latency, int64_t bytes) {
+    Total(hot.migration_latency, "amber.migration.latency").Record(static_cast<double>(latency));
+    Total(hot.migration_bytes, "amber.migration.bytes").Add(bytes);
+  }
+  void RecordMove(Duration latency, int64_t bytes) {
+    Total(hot.move_latency, "amber.move.latency").Record(static_cast<double>(latency));
+    Total(hot.move_bytes, "amber.move.bytes").Add(bytes);
+  }
+
   // depart time per in-flight rpc id (erased on response) for latency.
   std::unordered_map<uint64_t, Time> rpc_depart;
   // ids that needed at least one retransmission (for rpc.retry.latency).
@@ -89,16 +220,16 @@ struct Runtime::Instrumentation : public sim::SchedObserver,
     const ThreadId parent = creator != nullptr ? creator->id : 0;
     rt->Emit(&RuntimeObserver::OnThreadCreate, when, node, f.id, f.name, parent);
     if (rt->metrics_ != nullptr) {
-      rt->metrics_->GetCounter("sched.threads.created", node).Add();
+      AtNode(NodeSlots(node).threads_created, "sched.threads.created", node).Add();
     }
   }
   void OnFiberDispatch(Time when, sim::NodeId node, const sim::Fiber& f,
                        Duration queue_wait) override {
     rt->Emit(&RuntimeObserver::OnThreadDispatch, when, node, f.id, queue_wait);
     if (rt->metrics_ != nullptr) {
-      rt->metrics_->GetHistogram("sched.runqueue.wait", node)
-          .Record(static_cast<double>(queue_wait));
-      rt->metrics_->GetHistogram("sched.runqueue.depth", node)
+      NodeMetrics& m = NodeSlots(node);
+      AtNode(m.runqueue_wait, "sched.runqueue.wait", node).Record(static_cast<double>(queue_wait));
+      AtNode(m.runqueue_depth, "sched.runqueue.depth", node)
           .Record(static_cast<double>(rt->sim_->RunQueueLength(node)));
     }
   }
@@ -112,7 +243,7 @@ struct Runtime::Instrumentation : public sim::SchedObserver,
   void OnFiberPreempt(Time when, sim::NodeId node, const sim::Fiber& f) override {
     rt->Emit(&RuntimeObserver::OnThreadPreempt, when, node, f.id);
     if (rt->metrics_ != nullptr) {
-      rt->metrics_->GetCounter("sched.preempts", node).Add();
+      AtNode(NodeSlots(node).preempts, "sched.preempts", node).Add();
     }
   }
   void OnFiberExit(Time when, sim::NodeId node, const sim::Fiber& f) override {
@@ -134,7 +265,7 @@ struct Runtime::Instrumentation : public sim::SchedObserver,
       auto it = rpc_depart.find(id);
       if (it != rpc_depart.end()) {
         // Latency as seen by the requester (dst of the reply).
-        rt->metrics_->GetHistogram("rpc.roundtrip.latency", dst)
+        AtNode(NodeSlots(dst).rpc_roundtrip, "rpc.roundtrip.latency", dst)
             .Record(static_cast<double>(reply_arrive - it->second));
         if (auto rit = rpc_retried.find(id); rit != rpc_retried.end()) {
           // First-departure-to-reply latency of roundtrips that needed
@@ -472,7 +603,7 @@ void Runtime::EnterInvocation(Object* primary, int64_t args_wire_bytes) {
     if (!observers_.empty()) {  // the demangled label is only built for an observer
       const Time now = sim_->Now();
       Emit(&RuntimeObserver::OnInvokeEnter, now, here(), t->fiber_->id, primary,
-           ObjectLabel(primary), remote, origin, now - chase_start);
+           instr_->ObjectLabel(primary), remote, origin, now - chase_start);
     }
   }
 }
@@ -493,10 +624,11 @@ void Runtime::ExitInvocation(int64_t result_wire_bytes) {
     const Time now = sim_->Now();
     const Duration span = now - done.enter;
     if (metrics_ != nullptr) {
-      metrics_
-          ->GetHistogram(done.remote ? "amber.invoke.latency.remote"
-                                     : "amber.invoke.latency.local",
-                         here())
+      Instrumentation::NodeMetrics& m = instr_->NodeSlots(here());
+      instr_
+          ->AtNode(done.remote ? m.invoke_remote : m.invoke_local,
+                   done.remote ? "amber.invoke.latency.remote" : "amber.invoke.latency.local",
+                   here())
           .Record(static_cast<double>(span));
     }
     Emit(&RuntimeObserver::OnInvokeExit, now, here(), t->fiber_->id, span, done.remote,
@@ -538,8 +670,7 @@ Status Runtime::TravelThread(NodeId dst, int64_t extra_bytes) {
     rpc_->Travel(dst, payload);
     if (metrics_ != nullptr) {
       // Departure decision to running again at dst (marshal + wire + dispatch).
-      metrics_->GetHistogram("amber.migration.latency").Record(static_cast<double>(sim_->Now() - depart));
-      metrics_->GetCounter("amber.migration.bytes").Add(payload);
+      instr_->RecordMigration(sim_->Now() - depart, payload);
     }
     return Status::kOk;
   }
@@ -559,8 +690,7 @@ Status Runtime::TravelThread(NodeId dst, int64_t extra_bytes) {
                     static_cast<size_t>(dst)] += 1;
   Emit(&RuntimeObserver::OnThreadMigrate, depart, src, dst, t->fiber_->id, payload);
   if (metrics_ != nullptr) {
-    metrics_->GetHistogram("amber.migration.latency").Record(static_cast<double>(sim_->Now() - depart));
-    metrics_->GetCounter("amber.migration.bytes").Add(payload);
+    instr_->RecordMigration(sim_->Now() - depart, payload);
   }
   return Status::kOk;
 }
@@ -635,7 +765,8 @@ void Runtime::EnsureResident(Object* obj, int64_t payload_bytes) {
     visited.emplace_back(cur, target);
   }
   if (hops > 0 && metrics_ != nullptr) {
-    metrics_->GetHistogram("amber.forward.chain").Record(static_cast<double>(hops));
+    instr_->Total(instr_->hot.forward_chain, "amber.forward.chain")
+        .Record(static_cast<double>(hops));
   }
   // Path compaction (§3.3): every node along the chain learns the final
   // location, via asynchronous hint updates.
@@ -795,7 +926,7 @@ void Runtime::HandleUnreachable(Object* obj, NodeId node, int attempts) {
 Status Runtime::FetchReplica(Object* obj, NodeId from) {
   const NodeId cur = here();
   if (metrics_ != nullptr) {
-    metrics_->GetCounter("amber.replica.fetches").Add();
+    instr_->Total(instr_->hot.replica_fetches, "amber.replica.fetches").Add();
   }
   NodeId target = from;
   int hops = 0;
@@ -1032,8 +1163,7 @@ Status Runtime::MoveOutLocal(Object* obj, NodeId dst) {
   ++objects_moved_;
   Emit(&RuntimeObserver::OnObjectMove, sim_->Now(), obj, src, dst, total);
   if (metrics_ != nullptr) {
-    metrics_->GetHistogram("amber.move.latency").Record(static_cast<double>(sim_->Now() - move_start));
-    metrics_->GetCounter("amber.move.bytes").Add(total);
+    instr_->RecordMove(sim_->Now() - move_start, total);
   }
   MaybeRecheckpoint(obj);
   return Status::kOk;
@@ -1088,9 +1218,7 @@ Status Runtime::RequestRemoteMove(Object* obj, NodeId owner, NodeId dst, bool* a
         // because the transport cancels the roundtrip on give-up, so the
         // service can no longer run after this point.
         if (metrics_ != nullptr) {
-          metrics_->GetHistogram("amber.move.latency")
-              .Record(static_cast<double>(sim_->Now() - move_start));
-          metrics_->GetCounter("amber.move.bytes").Add(moved_bytes);
+          instr_->RecordMove(sim_->Now() - move_start, moved_bytes);
         }
         MaybeRecheckpoint(obj);
         *accepted_out = true;
@@ -1100,8 +1228,7 @@ Status Runtime::RequestRemoteMove(Object* obj, NodeId owner, NodeId dst, bool* a
       return Status::kUnreachable;  // owner unreachable
     }
     if (accepted && metrics_ != nullptr) {
-      metrics_->GetHistogram("amber.move.latency").Record(static_cast<double>(sim_->Now() - move_start));
-      metrics_->GetCounter("amber.move.bytes").Add(moved_bytes);
+      instr_->RecordMove(sim_->Now() - move_start, moved_bytes);
     }
     if (accepted) {
       MaybeRecheckpoint(obj);
@@ -1144,8 +1271,7 @@ Status Runtime::RequestRemoteMove(Object* obj, NodeId owner, NodeId dst, bool* a
   });
   sim_->Block();
   if (accepted && metrics_ != nullptr) {
-    metrics_->GetHistogram("amber.move.latency").Record(static_cast<double>(sim_->Now() - move_start));
-    metrics_->GetCounter("amber.move.bytes").Add(moved_bytes);
+    instr_->RecordMove(sim_->Now() - move_start, moved_bytes);
   }
   *accepted_out = accepted;
   return Status::kOk;
@@ -1759,27 +1885,10 @@ void Runtime::RemoveObserver(RuntimeObserver* observer) {
 
 void Runtime::SetMetrics(metrics::Registry* registry) {
   metrics_ = registry;
-  if (registry != nullptr) {
-    // Pre-register the live-path families so the document always contains
-    // them (at zero) even when the run never hits a path.
-    for (NodeId n = 0; n < nodes(); ++n) {
-      registry->GetHistogram("amber.invoke.latency.local", n);
-      registry->GetHistogram("amber.invoke.latency.remote", n);
-      registry->GetHistogram("sched.runqueue.wait", n);
-      registry->GetHistogram("sched.runqueue.depth", n);
-      registry->GetHistogram("sync.lock.wait", n);
-      registry->GetHistogram("rpc.roundtrip.latency", n);
-    }
-    registry->GetHistogram("amber.migration.latency");
-    registry->GetHistogram("amber.move.latency");
-    registry->GetHistogram("amber.forward.chain");
-    registry->GetHistogram("sync.lock.hold");
-    registry->GetCounter("amber.migration.bytes");
-    registry->GetCounter("amber.move.bytes");
-    registry->GetCounter("amber.replica.fetches");
-    registry->GetCounter("sync.condition.wakeups");
+  UpdateInstrumentation();  // allocates instr_ when a registry is attached
+  if (instr_ != nullptr) {
+    instr_->ResolveMetrics();
   }
-  UpdateInstrumentation();
 }
 
 void Runtime::SetBlackBox(BlackBox* recorder) {
@@ -1869,9 +1978,10 @@ void Runtime::UpdateInstrumentation() {
         [this](Time depart, Time arrive, NodeId src, NodeId dst, int64_t bytes) {
           Emit(&RuntimeObserver::OnMessage, depart, arrive, src, dst, bytes);
           if (metrics_ != nullptr) {
-            const std::string link = metrics::Registry::LinkLabel(src, dst);
-            metrics_->GetCounter("net.link.messages", link).Add();
-            metrics_->GetCounter("net.link.bytes", link).Add(bytes);
+            Instrumentation::LinkMetrics& m = instr_->LinkSlots(src, dst);
+            auto link = [src, dst] { return metrics::Registry::LinkLabel(src, dst); };
+            instr_->Resolve(m.messages, "net.link.messages", link).Add();
+            instr_->Resolve(m.bytes, "net.link.bytes", link).Add(bytes);
           }
         });
   } else {
@@ -1935,7 +2045,7 @@ void Runtime::NotifyLockBlocked(const void* lock) {
   const int id = SyncObjectId(lock);
   Emit(&RuntimeObserver::OnLockBlocked, sim_->Now(), here(), sim_->current()->id, id);
   if (metrics_ != nullptr) {
-    metrics_->GetCounter("sync.lock.blocked", "lock" + std::to_string(id)).Add();
+    instr_->AtLock(instr_->LockSlots(id).blocked, "sync.lock.blocked", id).Add();
   }
 }
 
@@ -1946,10 +2056,12 @@ void Runtime::NotifyLockAcquired(const void* lock, Duration wait) {
   const int id = SyncObjectId(lock);
   Emit(&RuntimeObserver::OnLockAcquired, sim_->Now(), here(), sim_->current()->id, id, wait);
   if (metrics_ != nullptr) {
-    metrics_->GetHistogram("sync.lock.wait", here()).Record(static_cast<double>(wait));
+    const NodeId node = here();
+    instr_->AtNode(instr_->NodeSlots(node).lock_wait, "sync.lock.wait", node)
+        .Record(static_cast<double>(wait));
     // Per-lock wait-time distribution (the placement/contention advisor's
     // input): labelled by the dense lock id, like sync.lock.blocked.
-    metrics_->GetHistogram("lock.wait_ns", "lock" + std::to_string(id))
+    instr_->AtLock(instr_->LockSlots(id).wait, "lock.wait_ns", id)
         .Record(static_cast<double>(wait));
   }
 }
@@ -1998,9 +2110,9 @@ void Runtime::NotifyLockReleased(const void* lock) {
   const int id = SyncObjectId(lock);
   Emit(&RuntimeObserver::OnLockReleased, sim_->Now(), here(), sim_->current()->id, id, held);
   if (metrics_ != nullptr) {
-    metrics_->GetHistogram("sync.lock.hold").Record(static_cast<double>(held));
+    instr_->Total(instr_->hot.lock_hold, "sync.lock.hold").Record(static_cast<double>(held));
     // Per-lock hold-time distribution, same labelling as lock.wait_ns.
-    metrics_->GetHistogram("lock.hold_ns", "lock" + std::to_string(id))
+    instr_->AtLock(instr_->LockSlots(id).hold, "lock.hold_ns", id)
         .Record(static_cast<double>(held));
   }
 }
@@ -2012,7 +2124,7 @@ void Runtime::NotifyConditionWake(const void* condition, int woken) {
   const int id = SyncObjectId(condition);
   Emit(&RuntimeObserver::OnConditionWake, sim_->Now(), here(), id, woken);
   if (metrics_ != nullptr) {
-    metrics_->GetCounter("sync.condition.wakeups").Add(woken);
+    instr_->Total(instr_->hot.condition_wakeups, "sync.condition.wakeups").Add(woken);
   }
 }
 
@@ -2021,7 +2133,8 @@ void Runtime::NotifyBarrierWait() {
     return;
   }
   if (metrics_ != nullptr) {
-    metrics_->GetCounter("sync.barrier.waits", here()).Add();
+    const NodeId node = here();
+    instr_->AtNode(instr_->NodeSlots(node).barrier_waits, "sync.barrier.waits", node).Add();
   }
 }
 

@@ -39,6 +39,16 @@ std::string Quote(const std::string& s) {
 
 }  // namespace
 
+HistogramSnapshot Histogram::Snapshot() const {
+  HistogramSnapshot s{acc_.count(), acc_.sum(), {}};
+  for (int b = 0; b < kBuckets; ++b) {
+    if (const int64_t n = bucket_counts_[static_cast<size_t>(b)]; n != 0) {
+      s.buckets.emplace_hint(s.buckets.end(), b, n);
+    }
+  }
+  return s;
+}
+
 IntervalSummary Histogram::Diff(const HistogramSnapshot& prev, const HistogramSnapshot& cur) {
   std::map<int, int64_t> deltas;
   for (const auto& [bucket, count] : cur.buckets) {
@@ -61,14 +71,14 @@ double BucketPercentile(const std::map<int, int64_t>& buckets, int64_t total, do
   int64_t below = 0;
   for (const auto& [bucket, count] : buckets) {
     if (static_cast<double>(below + count) > rank) {
-      const double lo = bucket == 0 ? 0.0 : static_cast<double>(int64_t{1} << bucket);
-      const double hi = static_cast<double>(int64_t{1} << (bucket + 1));
+      const double lo = bucket == 0 ? 0.0 : std::ldexp(1.0, bucket);
+      const double hi = std::ldexp(1.0, bucket + 1);
       const double frac = (rank - static_cast<double>(below)) / static_cast<double>(count);
       return lo + frac * (hi - lo);
     }
     below += count;
   }
-  return buckets.empty() ? 0.0 : static_cast<double>(int64_t{1} << (buckets.rbegin()->first + 1));
+  return buckets.empty() ? 0.0 : std::ldexp(1.0, buckets.rbegin()->first + 1);
 }
 
 }  // namespace

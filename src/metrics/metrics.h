@@ -18,6 +18,8 @@
 #ifndef AMBER_SRC_METRICS_METRICS_H_
 #define AMBER_SRC_METRICS_METRICS_H_
 
+#include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -100,7 +102,7 @@ class Histogram {
   void Record(double v) {
     samples_.Add(v);
     acc_.Add(v);
-    ++bucket_counts_[BucketOf(v)];
+    ++bucket_counts_[static_cast<size_t>(BucketOf(v))];
   }
 
   // Records v and, when trace_id is nonzero (a sampled trace), retains it as
@@ -128,23 +130,25 @@ class Histogram {
     return PercentileSummary{Percentile(50), Percentile(90), Percentile(99), Percentile(99.9)};
   }
 
-  // Bucket index: floor(log2(v)) for v >= 1, 0 below (ordered map keys keep
-  // the JSON rendering deterministic).
+  // Bucket index: floor(log2(v)) for v >= 1, clamped to [0, kBuckets - 1]
+  // (values below 1, negative values and NaN land in bucket 0; values of
+  // 2^64 and above in the last bucket).
+  static constexpr int kBuckets = 64;
   static int BucketOf(double v) {
-    uint64_t n = v >= 1.0 ? static_cast<uint64_t>(v) : 1;
-    int b = 0;
-    while (n >>= 1) {
-      ++b;
+    if (!(v >= 1.0)) {
+      return 0;
     }
-    return b;
+    if (v >= 0x1p64) {
+      return kBuckets - 1;
+    }
+    return std::bit_width(static_cast<uint64_t>(v)) - 1;
   }
 
-  // Cumulative snapshot for interval diffing (see HistogramSnapshot). Pure
-  // read: takes nothing out of the histogram, so cumulative dumps taken
-  // before and after a snapshot render byte-identically.
-  HistogramSnapshot Snapshot() const {
-    return HistogramSnapshot{acc_.count(), acc_.sum(), bucket_counts_};
-  }
+  // Cumulative snapshot for interval diffing (see HistogramSnapshot): the
+  // non-zero buckets. Pure read: takes nothing out of the histogram, so
+  // cumulative dumps taken before and after a snapshot render
+  // byte-identically.
+  HistogramSnapshot Snapshot() const;
 
   // The observations that landed between `prev` and `cur` (prev must be the
   // earlier snapshot of the same histogram). Zero summary for an empty
@@ -168,7 +172,7 @@ class Histogram {
  private:
   mutable amber::Samples samples_;  // Percentile() sorts lazily
   amber::Accumulator acc_;
-  std::map<int, int64_t> bucket_counts_;  // cumulative, for Snapshot()
+  std::array<int64_t, kBuckets> bucket_counts_{};  // cumulative, for Snapshot()
   std::map<int, Exemplar> exemplars_;
 };
 
@@ -208,6 +212,29 @@ class Registry {
     return GetHistogram(name, NodeLabel(node));
   }
   Histogram& GetHistogram(const std::string& name, const std::string& label);
+
+  // --- Resolved instances for hot paths -------------------------------------
+  //
+  // A path that records on every event keeps the instance a Get* call
+  // returned instead of repeating the lookup. Resolve returns *slot when it
+  // is set; otherwise it runs `get` (a Get* call on this registry) and keeps
+  // the result in `slot` — unless it is the label-cap sink, which is never
+  // kept, so every lookup that drops a label still goes through Get* and is
+  // counted in metrics.dropped_labels. Instances live as long as the
+  // registry; a slot is only valid for the registry that filled it.
+  template <typename T, typename Get>
+  T& Resolve(T*& slot, Get get) {
+    if (slot != nullptr) {
+      return *slot;
+    }
+    T& found = get();
+    if (!IsSink(found)) {
+      slot = &found;
+    }
+    return found;
+  }
+  bool IsSink(const Counter& c) const { return &c == &counter_sink_; }
+  bool IsSink(const Histogram& h) const { return &h == &histogram_sink_; }
 
   // Maximum distinct labels per family before new labels drop to the sink.
   void SetLabelCap(size_t cap) { label_cap_ = cap; }

@@ -19,7 +19,7 @@ Time Network::AcquireChannel(NodeId src, NodeId dst, Time ready, Duration wire) 
     // frame-times of its own wire duration (0 = idle channel).
     const Duration backlog = start - ready;
     const int64_t depth = wire > 0 ? (backlog + wire - 1) / wire : (backlog > 0 ? 1 : 0);
-    metrics_->GetHistogram("net.link_queue_depth", metrics::Registry::LinkLabel(src, dst))
+    LinkHistogram(&LinkMetrics::queue_depth, "net.link_queue_depth", src, dst)
         .Record(static_cast<double>(depth));
   }
   *free_at = start + wire;
@@ -29,9 +29,24 @@ Time Network::AcquireChannel(NodeId src, NodeId dst, Time ready, Duration wire) 
 
 void Network::RecordLinkTx(NodeId src, NodeId dst, int64_t bytes) {
   if (metrics_ != nullptr) {
-    metrics_->GetHistogram("net.link_bytes", metrics::Registry::LinkLabel(src, dst))
+    LinkHistogram(&LinkMetrics::bytes, "net.link_bytes", src, dst)
         .Record(static_cast<double>(bytes));
   }
+}
+
+metrics::Histogram& Network::LinkHistogram(metrics::Histogram* LinkMetrics::*family,
+                                           const char* name, NodeId src, NodeId dst) {
+  const size_t nodes = static_cast<size_t>(kernel_->nodes());
+  LinkMetrics& link = link_metrics_[static_cast<size_t>(src) * nodes + static_cast<size_t>(dst)];
+  return metrics_->Resolve(link.*family, [&]() -> metrics::Histogram& {
+    return metrics_->GetHistogram(name, metrics::Registry::LinkLabel(src, dst));
+  });
+}
+
+void Network::SetMetrics(metrics::Registry* registry) {
+  metrics_ = registry;
+  const size_t nodes = static_cast<size_t>(kernel_->nodes());
+  link_metrics_.assign(registry != nullptr ? nodes * nodes : 0, LinkMetrics{});
 }
 
 void Network::PostDelivery(NodeId src, NodeId dst, int64_t bytes, Time arrival,

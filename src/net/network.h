@@ -19,12 +19,14 @@
 #include <functional>
 #include <map>
 #include <utility>
+#include <vector>
 
 #include "src/base/stats.h"
 #include "src/sim/cost_model.h"
 #include "src/sim/kernel.h"
 
 namespace metrics {
+class Histogram;
 class Registry;
 }
 
@@ -141,7 +143,7 @@ class Network {
   // the frame when it was ready to transmit; 0 = idle channel). Loopback
   // sends never touch a link and record nothing. Observation only: timings
   // are unchanged.
-  void SetMetrics(metrics::Registry* registry) { metrics_ = registry; }
+  void SetMetrics(metrics::Registry* registry);
 
  private:
   // Reserves the channel (the shared bus, or the src->dst link) for a
@@ -151,6 +153,17 @@ class Network {
 
   // Records the per-link payload-size sample for one transmitted frame.
   void RecordLinkTx(NodeId src, NodeId dst, int64_t bytes);
+
+  // The per-link histogram instances, resolved on first use (see
+  // metrics::Registry::Resolve).
+  struct LinkMetrics {
+    metrics::Histogram* bytes = nullptr;
+    metrics::Histogram* queue_depth = nullptr;
+  };
+  // The src->dst instance of the per-link histogram family `name`, kept in
+  // that link's `family` slot.
+  metrics::Histogram& LinkHistogram(metrics::Histogram* LinkMetrics::*family, const char* name,
+                                    NodeId src, NodeId dst);
 
   // Posts `deliver` for execution at `arrival`. Under fault injection the
   // receiver may crash while the frame is in flight, so liveness is
@@ -175,6 +188,9 @@ class Network {
   MessageObserver on_message_;
   FaultFilter* fault_ = nullptr;
   metrics::Registry* metrics_ = nullptr;
+  // nodes x nodes, row = source; emptied whenever a registry is attached or
+  // detached.
+  std::vector<LinkMetrics> link_metrics_;
 };
 
 }  // namespace net

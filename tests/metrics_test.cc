@@ -67,6 +67,41 @@ TEST(HistogramTest, EmptyHistogramIsSafe) {
   EXPECT_DOUBLE_EQ(s.p999, 0.0);
 }
 
+TEST(HistogramTest, BucketOfClampsToTheBucketRange) {
+  EXPECT_EQ(Histogram::BucketOf(1e30), 63);  // beyond uint64_t
+  EXPECT_EQ(Histogram::BucketOf(0x1p64), 63);
+  EXPECT_EQ(Histogram::BucketOf(0x1p63), 63);
+  EXPECT_EQ(Histogram::BucketOf(-5), 0);
+  EXPECT_EQ(Histogram::BucketOf(0.5), 0);
+  EXPECT_EQ(Histogram::BucketOf(1.0), 0);
+  EXPECT_EQ(Histogram::BucketOf(2.0), 1);
+  EXPECT_EQ(Histogram::BucketOf(1023.9), 9);
+  EXPECT_EQ(Histogram::BucketOf(1024.0), 10);
+}
+
+TEST(HistogramTest, SnapshotHoldsTheNonZeroBuckets) {
+  Histogram h;
+  h.Record(1e30);
+  h.Record(-5);
+  h.Record(0.5);
+  h.Record(3.0);
+  h.Record(3.5);
+  h.Record(1000.0);
+  const HistogramSnapshot s = h.Snapshot();
+  EXPECT_EQ(s.count, 6);
+  EXPECT_EQ(s.sum, h.sum());
+  const std::map<int, int64_t> expected = {{0, 2}, {1, 2}, {9, 1}, {63, 1}};
+  EXPECT_EQ(s.buckets, expected);
+  EXPECT_EQ(Histogram::Diff(HistogramSnapshot{}, s).count, 6);
+
+  // An interval in the top bucket interpolates inside [2^63, 2^64].
+  Histogram top;
+  top.Record(1e30);
+  const IntervalSummary tail = Histogram::Diff(HistogramSnapshot{}, top.Snapshot());
+  EXPECT_GE(tail.p50, 0x1p63);
+  EXPECT_LE(tail.p999, 0x1p64);
+}
+
 TEST(RegistryTest, LabelsAndLookup) {
   Registry reg;
   reg.GetCounter("a").Add(3);
@@ -347,6 +382,167 @@ TEST(RegistryTest, LabelCapDropsNewLabelsButKeepsExistingOnes) {
   reg.WriteJson(out);
   EXPECT_EQ(out.str().find("l7"), std::string::npos);
   EXPECT_NE(out.str().find("\"metrics.dropped_labels\""), std::string::npos);
+}
+
+// A 4-node switched runtime under a label cap of 2: every node invokes every
+// node's object, under that object's lock, so the per-node, per-link and
+// per-lock families the runtime records on its hot paths overflow the cap.
+// Returns the registry's JSON document.
+class LockedPokee : public Object {
+ public:
+  int Poke() {
+    lock_.Acquire();
+    Work(kMillisecond * 5);
+    const int n = ++pokes_;
+    lock_.Release();
+    return n;
+  }
+
+ private:
+  Lock lock_;
+  int pokes_ = 0;
+};
+
+class Caller : public Object {
+ public:
+  int CallAll(std::vector<Ref<LockedPokee>> targets) {
+    int sum = 0;
+    for (auto& t : targets) {
+      sum += t.Call(&LockedPokee::Poke);
+    }
+    return sum;
+  }
+};
+
+std::string RunCappedAllToAll(Registry* reg) {
+  Runtime::Config c;
+  c.nodes = 4;
+  c.procs_per_node = 2;
+  c.topology = net::Topology::kSwitched;
+  c.arena_bytes = size_t{128} << 20;
+  Runtime rt(c);
+  reg->SetLabelCap(2);
+  rt.SetMetrics(reg);
+  rt.Run([] {
+    std::vector<Ref<LockedPokee>> pokees;
+    std::vector<Ref<Caller>> callers;
+    for (NodeId n = 0; n < 4; ++n) {
+      pokees.push_back(NewOn<LockedPokee>(n));
+      callers.push_back(NewOn<Caller>(n));
+    }
+    std::vector<ThreadRef<int>> threads;
+    for (auto& caller : callers) {
+      threads.push_back(StartThread(caller, &Caller::CallAll, pokees));
+    }
+    for (auto& t : threads) {
+      t.Join();
+    }
+    MoveTo(pokees[0], 3);
+  });
+  std::ostringstream out;
+  reg->WriteJson(out);
+  return out.str();
+}
+
+// RunCappedAllToAll's document, recorded before the runtime cached any
+// metric instance: a cached instance must never change what is recorded.
+constexpr const char* kCappedAllToAllJson = R"json({
+  "counters": {
+    "amber.forward.hops": {"total": 17},
+    "amber.migration.bytes": {"total": 10944},
+    "amber.migration.matrix": {"0->1": 9, "0->2": 8},
+    "amber.move.bytes": {"total": 1312},
+    "amber.objects.created": {"total": 12},
+    "amber.objects.moved": {"total": 7},
+    "amber.replica.fetches": {"total": 0},
+    "amber.replicas.installed": {"total": 0},
+    "amber.threads.migrated": {"total": 48},
+    "metrics.dropped_labels": {"total": 295},
+    "net.bytes": {"total": 12992},
+    "net.fragments": {"total": 75},
+    "net.link.bytes": {"0->1": 2420, "0->2": 2196},
+    "net.link.messages": {"0->1": 11, "0->2": 10},
+    "net.messages": {"total": 75},
+    "rpc.roundtrips": {"total": 1},
+    "rpc.travels": {"total": 48},
+    "sched.threads.created": {"node0": 5},
+    "sim.dispatches": {"total": 66},
+    "sim.events": {"total": 306},
+    "sim.preemptions": {"total": 0},
+    "sync.condition.wakeups": {"total": 0},
+    "sync.lock.blocked": {"lock1": 2, "lock2": 1}
+  },
+  "gauges": {
+    "net.busy_ns": {"total": 17893600},
+    "run.nodes": {"total": 4},
+    "run.procs_per_node": {"total": 2},
+    "run.virtual_time": {"total": 93759920},
+    "sched.busy_ns": {"node0": 64972160, "node1": 29138240}
+  },
+  "histograms": {
+    "amber.forward.chain": {
+      "total": {"count": 31, "sum": 48, "min": 1, "max": 3, "mean": 1.5483871, "p50": 2, "p90": 2, "p99": 2.7, "p999": 2.97}
+    },
+    "amber.invoke.latency.local": {
+      "node0": {"count": 3, "sum": 70010160, "min": 5028000, "max": 34118080, "mean": 23336720, "p50": 30864080, "p90": 33467280, "p99": 34053000, "p999": 34111572},
+      "node1": {"count": 1, "sum": 5028000, "min": 5028000, "max": 5028000, "mean": 5028000, "p50": 5028000, "p90": 5028000, "p99": 5028000, "p999": 5028000}
+    },
+    "amber.invoke.latency.remote": {
+      "node0": {"count": 3, "sum": 29078080, "min": 9656720, "max": 9764640, "mean": 9692693.33, "p50": 9656720, "p90": 9743056, "p99": 9762481.6, "p999": 9764424.16},
+      "node1": {"count": 5, "sum": 103480080, "min": 9656720, "max": 45614640, "mean": 20696016, "p50": 14285440, "p90": 35223920, "p99": 44575568, "p999": 45510732.8}
+    },
+    "amber.migration.latency": {
+      "total": {"count": 48, "sum": 113375280, "min": 2312640, "max": 3388080, "mean": 2361985, "p50": 2314360, "p90": 2347040, "p99": 3279152.8, "p999": 3377187.28}
+    },
+    "amber.move.latency": {
+      "total": {"count": 7, "sum": 24393360, "min": 3102560, "max": 5365200, "mean": 3484765.71, "p50": 3240160, "p90": 4090176, "p99": 5237697.6, "p999": 5352449.76}
+    },
+    "lock.hold_ns": {
+      "lock1": {"count": 4, "sum": 20132000, "min": 5008000, "max": 5058000, "mean": 5033000, "p50": 5033000, "p90": 5058000, "p99": 5058000, "p999": 5058000},
+      "lock2": {"count": 4, "sum": 20082000, "min": 5008000, "max": 5058000, "mean": 5020500, "p50": 5008000, "p90": 5043000, "p99": 5056500, "p999": 5057850}
+    },
+    "lock.wait_ns": {
+      "lock1": {"count": 2, "sum": 11832480, "min": 3944160, "max": 7888320, "mean": 5916240, "p50": 5916240, "p90": 7493904, "p99": 7848878.4, "p999": 7884375.84},
+      "lock2": {"count": 1, "sum": 1075440, "min": 1075440, "max": 1075440, "mean": 1075440, "p50": 1075440, "p90": 1075440, "p99": 1075440, "p999": 1075440}
+    },
+    "net.link_bytes": {
+      "0->1": {"count": 11, "sum": 2420, "min": 96, "max": 264, "mean": 220, "p50": 224, "p90": 256, "p99": 263.2, "p999": 263.92},
+      "0->2": {"count": 10, "sum": 2196, "min": 96, "max": 264, "mean": 219.6, "p50": 226, "p90": 256.8, "p99": 263.28, "p999": 263.928}
+    },
+    "net.link_queue_depth": {
+      "0->1": {"count": 11, "sum": 0, "min": 0, "max": 0, "mean": 0, "p50": 0, "p90": 0, "p99": 0, "p999": 0},
+      "0->2": {"count": 10, "sum": 0, "min": 0, "max": 0, "mean": 0, "p50": 0, "p90": 0, "p99": 0, "p999": 0}
+    },
+    "rpc.roundtrip.latency": {
+      "node0": {"count": 0, "sum": 0, "min": 0, "max": 0, "mean": 0, "p50": 0, "p90": 0, "p99": 0, "p999": 0},
+      "node1": {"count": 0, "sum": 0, "min": 0, "max": 0, "mean": 0, "p50": 0, "p90": 0, "p99": 0, "p999": 0}
+    },
+    "sched.runqueue.depth": {
+      "node0": {"count": 36, "sum": 3, "min": 0, "max": 2, "mean": 0.0833333333, "p50": 0, "p90": 0, "p99": 1.65, "p999": 1.965},
+      "node1": {"count": 10, "sum": 0, "min": 0, "max": 0, "mean": 0, "p50": 0, "p90": 0, "p99": 0, "p999": 0}
+    },
+    "sched.runqueue.wait": {
+      "node0": {"count": 36, "sum": 8376880, "min": 0, "max": 2399680, "mean": 232691.111, "p50": 0, "p90": 591680, "p99": 2399036, "p999": 2399615.6},
+      "node1": {"count": 10, "sum": 0, "min": 0, "max": 0, "mean": 0, "p50": 0, "p90": 0, "p99": 0, "p999": 0}
+    },
+    "sync.lock.hold": {
+      "total": {"count": 16, "sum": 80278000, "min": 5008000, "max": 5058000, "mean": 5017375, "p50": 5008000, "p90": 5058000, "p99": 5058000, "p999": 5058000}
+    },
+    "sync.lock.wait": {
+      "node0": {"count": 2, "sum": 11832480, "min": 3944160, "max": 7888320, "mean": 5916240, "p50": 5916240, "p90": 7493904, "p99": 7848878.4, "p999": 7884375.84},
+      "node1": {"count": 1, "sum": 1075440, "min": 1075440, "max": 1075440, "mean": 1075440, "p50": 1075440, "p90": 1075440, "p99": 1075440, "p999": 1075440}
+    }
+  }
+}
+)json";
+
+TEST(RegistryTest, LabelCapCountsEveryDroppedHotPathLookup) {
+  Registry reg;
+  const std::string json = RunCappedAllToAll(&reg);
+  // Each record into a label past the cap is one more dropped lookup; a
+  // runtime that cached the sink would count each such label only once.
+  EXPECT_EQ(reg.dropped_labels(), 295);
+  EXPECT_EQ(json, kCappedAllToAllJson);
 }
 
 TEST(RegistryTest, LabelCapAppliesPerFamilyAndPerKind) {
