@@ -5,11 +5,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "src/apps/sor/sor.h"
 #include "src/kernel/descriptor_table.h"
 #include "src/mem/address_space.h"
 #include "src/mem/region_server.h"
@@ -81,6 +84,99 @@ void BM_EventQueueDepth1000(benchmark::State& state) {
   benchmark::DoNotOptimize(sink);
 }
 BENCHMARK(BM_EventQueueDepth1000);
+
+// Post+run at a steady depth of 64 with the capture sizes the simulator
+// posts most: 16 bytes (Sync), 32 (Wake), 40 (ReleaseProcessor) and 64
+// (the fault-checked net delivery).
+void BM_EventQueueMixedCaptures(benchmark::State& state) {
+  sim::EventQueue q;
+  uint64_t sink = 0;
+  uint64_t i = 0;
+  auto post = [&] {
+    const amber::Time t = q.now() + 1 + static_cast<amber::Time>((i * 37) % 64);
+    switch (i++ % 4) {
+      case 0: {
+        const std::array<uint64_t, 1> w{i};
+        q.Post(t, [&sink, w] { sink += w[0]; });
+        break;
+      }
+      case 1: {
+        const std::array<uint64_t, 3> w{i, 1, 2};
+        q.Post(t, [&sink, w] { sink += w[0] + w[2]; });
+        break;
+      }
+      case 2: {
+        const std::array<uint64_t, 4> w{i, 1, 2, 3};
+        q.Post(t, [&sink, w] { sink += w[0] + w[3]; });
+        break;
+      }
+      default: {
+        const std::array<uint64_t, 7> w{i, 1, 2, 3, 4, 5, 6};
+        q.Post(t, [&sink, w] { sink += w[0] + w[6]; });
+        break;
+      }
+    }
+  };
+  for (int k = 0; k < 64; ++k) {
+    post();
+  }
+  for (auto _ : state) {
+    post();
+    q.RunOne();
+  }
+  benchmark::DoNotOptimize(sink);
+}
+BENCHMARK(BM_EventQueueMixedCaptures);
+
+// --- SOR row sweep ----------------------------------------------------------------
+
+// One colour of one paper-width row of a section strip (rows of width + 2
+// doubles, one ghost column each side, as Section stores them): the
+// per-column parity loop the solvers used before, indexing through At()
+// (arg 0), against the shared strided kernel (arg 1). The width comes from
+// the benchmark argument so nothing is folded at compile time.
+void BM_SorSweepRow(benchmark::State& state) {
+  const bool strided = state.range(0) == 1;
+  const int cols = static_cast<int>(state.range(1));
+  const int col0 = 0;
+  const int width = cols;
+  const double omega = 1.5;
+  const size_t stride = static_cast<size_t>(width + 2);
+  std::vector<double> strip(3 * stride);
+  for (size_t i = 0; i < strip.size(); ++i) {
+    strip[i] = static_cast<double>(i % 97);
+  }
+  auto at = [&](int r, int c) -> double& {
+    return strip[static_cast<size_t>(r) * stride + static_cast<size_t>(c + 1)];
+  };
+  int color = 0;
+  double delta = 0.0;
+  int64_t updated = 0;
+  for (auto _ : state) {
+    if (strided) {
+      updated += sor::SweepRow(&at(1, 0), &at(0, 0), &at(2, 0), 1, col0, cols, 0, width - 1,
+                               color, omega, &delta);
+    } else {
+      for (int c = 0; c <= width - 1; ++c) {
+        const int gc = col0 + c;
+        if (!(gc >= 1 && gc <= cols - 2) || (1 + gc) % 2 != color) {
+          continue;
+        }
+        const double old = at(1, c);
+        const double next = sor::Relax(old, at(0, c), at(2, c), at(1, c - 1), at(1, c + 1), omega);
+        at(1, c) = next;
+        delta = std::max(delta, std::fabs(next - old));
+        ++updated;
+      }
+    }
+    color ^= 1;
+    benchmark::DoNotOptimize(strip.data());
+    benchmark::ClobberMemory();
+  }
+  benchmark::DoNotOptimize(delta);
+  state.SetItemsProcessed(updated);
+}
+BENCHMARK(BM_SorSweepRow)->Args({0, 842})->Args({1, 842});
 
 // --- Descriptor table -------------------------------------------------------------
 

@@ -1,7 +1,6 @@
 #include "src/apps/sor/sor.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "src/base/panic.h"
 #include "src/core/amber.h"
@@ -40,12 +39,6 @@ uint64_t HashDoubles(const std::vector<double>& v) {
     }
   }
   return h;
-}
-
-// The SOR update — shared verbatim by the sequential and parallel versions
-// so their arithmetic is bitwise identical.
-inline double Relax(double v, double up, double down, double left, double right, double omega) {
-  return (1.0 - omega) * v + omega * 0.25 * (up + down + left + right);
 }
 
 class Master;
@@ -143,27 +136,14 @@ class Section : public Object {
                  static_cast<size_t>(c + 1)];
   }
 
-  bool IsInterior(int gc) const { return gc >= 1 && gc <= p_.cols - 2; }
-
   // Updates color points of phase `phase` in rows [r0, r1) over local
   // columns [c_lo, c_hi]; returns the max delta and charges CPU per row.
   double UpdateRows(int r0, int r1, int64_t phase, int c_lo, int c_hi) {
     const int color = static_cast<int>(phase % 2);
     double max_delta = 0.0;
     for (int r = std::max(r0, 1); r < std::min(r1, p_.rows - 1); ++r) {
-      int updated = 0;
-      for (int c = c_lo; c <= c_hi; ++c) {
-        const int gc = col0_ + c;
-        if (!IsInterior(gc) || (r + gc) % 2 != color) {
-          continue;
-        }
-        const double old = At(r, c);
-        const double next =
-            Relax(old, At(r - 1, c), At(r + 1, c), At(r, c - 1), At(r, c + 1), p_.omega);
-        At(r, c) = next;
-        max_delta = std::max(max_delta, std::fabs(next - old));
-        ++updated;
-      }
+      const int updated = SweepRow(&At(r, 0), &At(r - 1, 0), &At(r + 1, 0), r, col0_, p_.cols,
+                                   c_lo, c_hi, color, p_.omega, &max_delta);
       if (updated > 0) {
         Work(updated * p_.point_cost);
       }
@@ -429,18 +409,8 @@ Result RunSequential(amber::Runtime& rt, const Params& params, bool keep_grid) {
       delta = 0.0;
       for (int color = 0; color < 2; ++color) {
         for (int r = 1; r < rows - 1; ++r) {
-          int updated = 0;
-          for (int c = 1; c < cols - 1; ++c) {
-            if ((r + c) % 2 != color) {
-              continue;
-            }
-            const double old = at(r, c);
-            const double next =
-                Relax(old, at(r - 1, c), at(r + 1, c), at(r, c - 1), at(r, c + 1), params.omega);
-            at(r, c) = next;
-            delta = std::max(delta, std::fabs(next - old));
-            ++updated;
-          }
+          const int updated = SweepRow(&at(r, 0), &at(r - 1, 0), &at(r + 1, 0), r, 0, cols, 1,
+                                       cols - 2, color, params.omega, &delta);
           Work(updated * params.point_cost);
         }
       }

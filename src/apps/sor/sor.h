@@ -21,6 +21,8 @@
 #ifndef AMBER_SRC_APPS_SOR_SOR_H_
 #define AMBER_SRC_APPS_SOR_SOR_H_
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -56,6 +58,38 @@ struct Result {
   int64_t net_bytes = 0;
   int64_t thread_migrations = 0;
 };
+
+// The SOR update — shared verbatim by the sequential and parallel versions
+// so their arithmetic is bitwise identical.
+inline double Relax(double v, double up, double down, double left, double right, double omega) {
+  return (1.0 - omega) * v + omega * 0.25 * (up + down + left + right);
+}
+
+// The row kernel both solvers sweep with. `row` points at local column 0 of
+// grid row r in a strip whose local column c is global column col0 + c of a
+// grid `cols` wide; `up` and `down` point at the same column of rows r - 1
+// and r + 1, and row[c - 1], row[c + 1] must be readable. Relaxes, in
+// ascending column order, the points of `color` ((r + global column) % 2)
+// among local columns [c_lo, c_hi] that are interior to the grid, folds each
+// |next - old| into *max_delta and returns how many points it updated. The
+// first such column is found once and the sweep strides by two, so no
+// column of the other colour is visited.
+inline int SweepRow(double* row, const double* up, const double* down, int r, int col0, int cols,
+                    int c_lo, int c_hi, int color, double omega, double* max_delta) {
+  const int lo = std::max(c_lo, 1 - col0);
+  const int hi = std::min(c_hi, cols - 2 - col0);
+  double delta = *max_delta;
+  int updated = 0;
+  for (int c = lo + ((r + col0 + lo - color) & 1); c <= hi; c += 2) {
+    const double old = row[c];
+    const double next = Relax(old, up[c], down[c], row[c - 1], row[c + 1], omega);
+    row[c] = next;
+    delta = std::max(delta, std::fabs(next - old));
+    ++updated;
+  }
+  *max_delta = delta;
+  return updated;
+}
 
 // Runs the sequential C++ baseline inside `rt` (typically a 1-node/1-CPU
 // runtime) and returns timing + the converged grid.

@@ -71,7 +71,7 @@ template <typename T>
 void Delete(Ref<T> ref) {
   Runtime& rt = Runtime::Current();
   Object* obj = ref.object();
-  rt.EnterInvocation(obj->AmberPrimary(), 0);  // migrate to the object
+  rt.EnterInvocation(Object::PrimaryOf(obj), 0);  // migrate to the object (ref may dangle)
   rt.DeleteObject(obj);                        // destroy it here
   rt.ExitInvocation(0);                        // migrate back to the caller's frame
 }

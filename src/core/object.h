@@ -26,7 +26,12 @@ namespace amber {
 
 class Runtime;
 
-class Object {
+// Holds an Object's header in a non-polymorphic base; see Object::PrimaryOf.
+struct ObjectHeaderBase {
+  ObjectHeader header_;
+};
+
+class Object : private ObjectHeaderBase {
  public:
   Object(const Object&) = delete;
   Object& operator=(const Object&) = delete;
@@ -34,8 +39,16 @@ class Object {
   // The primary object whose location governs this object: itself if it is
   // a primary, the containing object for members (transitively resolved at
   // construction), nullptr for stack-local objects.
-  Object* AmberPrimary() {
-    return header_.IsMember() ? header_.primary : (header_.IsStackLocal() ? nullptr : this);
+  Object* AmberPrimary() { return PrimaryOf(this); }
+
+  // AmberPrimary of an object that may already be destroyed: a Ref can
+  // dangle, and the runtime reads the dead object's header to report it.
+  // The header is reached by a conversion to the non-polymorphic base, not
+  // by a member access through Object, which would read the vptr (UBSan's
+  // vptr check rejects that once the destructor has run).
+  static Object* PrimaryOf(Object* obj) {
+    const ObjectHeader& h = HeaderOf(obj);
+    return h.IsMember() ? h.primary : (h.IsStackLocal() ? nullptr : obj);
   }
   const ObjectHeader& amber_header() const { return header_; }
 
@@ -60,7 +73,9 @@ class Object {
 
  private:
   friend class Runtime;
-  ObjectHeader header_;
+  static ObjectHeader& HeaderOf(Object* obj) {
+    return static_cast<ObjectHeaderBase*>(obj)->header_;
+  }
 };
 
 }  // namespace amber

@@ -71,7 +71,8 @@ class Ref {
     std::tuple<P...> actual(std::forward<A>(args)...);
     const int64_t args_bytes =
         std::apply([](const auto&... a) { return rpc::WireSizeOfAll(a...); }, actual);
-    rt.EnterInvocation(ptr_->AmberPrimary(), args_bytes);
+    // Not ptr_->AmberPrimary(): ptr_ may dangle (see Object::PrimaryOf).
+    rt.EnterInvocation(Object::PrimaryOf(ptr_), args_bytes);
     if constexpr (std::is_void_v<R>) {
       std::apply([&](auto&&... a) { (ptr_->*method)(std::forward<decltype(a)>(a)...); },
                  std::move(actual));

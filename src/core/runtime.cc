@@ -699,7 +699,7 @@ void Runtime::EnsureResident(Object* obj, int64_t payload_bytes) {
   if (obj == nullptr) {
     return;
   }
-  ObjectHeader& h = obj->header_;
+  ObjectHeader& h = Object::HeaderOf(obj);  // obj may dangle: report it below
   if (h.IsStackLocal()) {
     return;
   }

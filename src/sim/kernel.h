@@ -23,6 +23,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/base/stats.h"
@@ -147,7 +148,12 @@ class Kernel {
 
   // --- Kernel-facing primitives (event handlers or ordered fiber code) -----
 
-  void Post(Time t, std::function<void()> fn) { queue_.Post(t, std::move(fn)); }
+  // Schedules fn (any void() callable, move-only ones included) to run at
+  // virtual time t. The closure is stored in the event queue as is.
+  template <typename F>
+  void Post(Time t, F&& fn) {
+    queue_.Post(t, std::forward<F>(fn));
+  }
 
   // Makes a blocked fiber ready on its current node at time t.
   void Wake(Fiber* f, Time t);
