@@ -144,7 +144,7 @@ struct RecoveryResult {
 // driver itself never migrates to the strip — on-strip reads go through
 // worker threads reaped with TryJoin — so it cannot freeze with the victim.
 RecoveryResult RunRecovery(const fault::FaultPlan& plan, metrics::Registry* registry,
-                           fault::Injector* injector, prof::Profiler* profiler,
+                           fault::Injector* injector, fdr::Recorder* log,
                            fdr::Recorder* recorder = nullptr) {
   amber::Runtime::Config config;
   config.nodes = kNodes;
@@ -153,8 +153,8 @@ RecoveryResult RunRecovery(const fault::FaultPlan& plan, metrics::Registry* regi
   if (registry != nullptr) {
     rt.SetMetrics(registry);
   }
-  if (profiler != nullptr) {
-    rt.AddObserver(profiler);
+  if (log != nullptr) {
+    rt.AddObserver(log);
   }
   if (recorder != nullptr) {
     recorder->AttachTo(rt);
@@ -330,7 +330,7 @@ TimelineResult RunTimeline(metrics::Registry* registry, tseries::Collector* coll
 
 sor::Result RunOnce(const sor::Params& params, const fault::FaultPlan& plan,
                     metrics::Registry* registry, fault::Injector* injector,
-                    prof::Profiler* profiler = nullptr, fdr::Recorder* recorder = nullptr) {
+                    fdr::Recorder* log = nullptr, fdr::Recorder* recorder = nullptr) {
   amber::Runtime::Config config;
   config.nodes = kNodes;
   config.procs_per_node = kProcs;
@@ -339,8 +339,8 @@ sor::Result RunOnce(const sor::Params& params, const fault::FaultPlan& plan,
   if (registry != nullptr) {
     rt.SetMetrics(registry);
   }
-  if (profiler != nullptr) {
-    rt.AddObserver(profiler);
+  if (log != nullptr) {
+    rt.AddObserver(log);
   }
   if (recorder != nullptr) {
     recorder->AttachTo(rt);
@@ -367,12 +367,14 @@ int main() {
   const fault::FaultPlan plan = StandardLossyPlan(clean.solve_time);
   metrics::Registry registry;
   fault::Injector injector(plan);
-  prof::Profiler profiler;
-  // Flight recorder rides along as an observer-only tap: if either scenario
-  // diverges from its clean run, the black box is flushed before exiting
-  // nonzero so the failure can be post-mortemed with amber-fdr.
+  // Two flight recorders ride along as observer-only taps: a whole-run log
+  // for the critical-path profile, and the black box (the last 4096 records
+  // per node) — if either scenario diverges from its clean run, the black
+  // box is flushed before exiting nonzero so the failure can be
+  // post-mortemed with amber-fdr.
+  fdr::Recorder log({.name = "chaos_log", .ring_capacity = SIZE_MAX});
   fdr::Recorder recorder({.name = "chaos"});
-  const sor::Result chaos = RunOnce(params, plan, &registry, &injector, &profiler, &recorder);
+  const sor::Result chaos = RunOnce(params, plan, &registry, &injector, &log, &recorder);
 
   const double slowdown =
       static_cast<double>(chaos.solve_time) / static_cast<double>(clean.solve_time);
@@ -403,10 +405,10 @@ int main() {
 
   const fault::FaultPlan rec_plan = RecoveryPlan(rec_clean.end_time);
   fault::Injector rec_injector(rec_plan);
-  prof::Profiler rec_profiler;
+  fdr::Recorder rec_log({.name = "chaos_recovery_log", .ring_capacity = SIZE_MAX});
   fdr::Recorder rec_recorder({.name = "chaos_recovery"});
   const RecoveryResult rec =
-      RunRecovery(rec_plan, &registry, &rec_injector, &rec_profiler, &rec_recorder);
+      RunRecovery(rec_plan, &registry, &rec_injector, &rec_log, &rec_recorder);
   std::printf("crash strip run: %.2f ms (virtual), node %d dead from %.2f ms; %s\n",
               amber::ToMillis(rec.end_time), int{kVictim},
               amber::ToMillis(rec_plan.node_events[0].crash_at),
@@ -468,7 +470,7 @@ int main() {
   const std::string path = json.Write(chaos.solve_time, &registry);
   std::printf("\nwrote %s\n", path.c_str());
 
-  prof::ProfileReport report = profiler.Finalize();
+  prof::ProfileReport report = prof::Profile(log);
   report.name = "chaos";
   std::ofstream prof_out("PROF_chaos.json");
   report.WriteJson(prof_out);
@@ -480,7 +482,7 @@ int main() {
                         static_cast<double>(report.total_ns)
                   : 0.0);
 
-  prof::ProfileReport rec_report = rec_profiler.Finalize();
+  prof::ProfileReport rec_report = prof::Profile(rec_log);
   rec_report.name = "chaos_recovery";
   std::ofstream rec_prof_out("PROF_chaos_recovery.json");
   rec_report.WriteJson(rec_prof_out);

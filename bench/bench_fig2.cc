@@ -95,10 +95,8 @@ int main() {
     amber::Runtime rt(config);
     metrics::Registry registry;
     fdr::Recorder recorder({.name = "fig2", .ring_capacity = SIZE_MAX});
-    prof::Profiler profiler;
     rt.SetMetrics(&registry);
     recorder.AttachTo(rt);
-    rt.AddObserver(&profiler);  // rides the same bus, zero virtual-time cost
     const sor::Result r = sor::RunAmber(rt, params);
     const double speedup =
         static_cast<double>(seq.solve_time) / static_cast<double>(r.solve_time);
@@ -119,7 +117,7 @@ int main() {
     std::printf("\nwrote %s and BENCH_fig2_trace.json (%lld records)\n", path.c_str(),
                 static_cast<long long>(recorder.recorded()));
 
-    prof::ProfileReport report = profiler.Finalize();
+    prof::ProfileReport report = prof::Profile(recorder);
     report.name = "fig2";
     std::ofstream prof_out("PROF_fig2.json");
     report.WriteJson(prof_out);

@@ -9,7 +9,7 @@
 //
 // Two runs, same seed:
 //   off  the policy attached in observe-only mode (heat tracked, no pulls)
-//        under the critical-path profiler — yields the advisor's estimate;
+//        and profiled from its whole-run log — yields the advisor's estimate;
 //   on   the policy enabled — the first few remote invocations build heat
 //        on node 2 until it dominates the decayed node-0 warmup, then a
 //        single pull migrates the Counter to its callers. Hysteresis
@@ -27,6 +27,7 @@
 
 #include "bench/bench_util.h"
 #include "src/core/amber.h"
+#include "src/fdr/fdr.h"
 #include "src/metrics/metrics.h"
 #include "src/policy/policy.h"
 #include "src/prof/profiler.h"
@@ -79,8 +80,8 @@ RunResult RunWorkload(bool policy_on, metrics::Registry* registry) {
   if (registry != nullptr) {
     rt.SetMetrics(registry);
   }
-  prof::Profiler profiler;
-  rt.AddObserver(&profiler);
+  fdr::Recorder log({.name = "hotspot", .ring_capacity = SIZE_MAX});
+  rt.AddObserver(&log);
   policy::PolicyConfig pc;
   pc.enabled = policy_on;
   policy::PlacementPolicy policy(pc);
@@ -96,7 +97,7 @@ RunResult RunWorkload(bool policy_on, metrics::Registry* registry) {
     t.Join();
   });
   if (!policy_on) {
-    const prof::ProfileReport report = profiler.Finalize();
+    const prof::ProfileReport report = prof::Profile(log);
     for (const prof::Advice& a : report.advice) {
       if (a.kind == "move") {
         r.advisor_saving_ns = a.est_saving_ns;

@@ -21,6 +21,7 @@
 #include "bench/bench_util.h"
 #include "src/core/amber.h"
 #include "src/dsm/dsm.h"
+#include "src/fdr/fdr.h"
 #include "src/prof/profiler.h"
 
 namespace {
@@ -67,9 +68,9 @@ Outcome RunAmberLock() {
   config.procs_per_node = 2;
   Runtime rt(config);
   metrics::Registry registry;
-  prof::Profiler profiler;
+  fdr::Recorder log({.name = "lock_thrash", .ring_capacity = SIZE_MAX});
   rt.SetMetrics(&registry);  // lock wait/hold times land in sync.* histograms
-  rt.AddObserver(&profiler);
+  rt.AddObserver(&log);
   Outcome out{};
   Time virtual_time = 0;
   rt.Run([&] {
@@ -104,7 +105,7 @@ Outcome RunAmberLock() {
   json.Config("rounds_per_node", int64_t{kRoundsPerNode});
   json.Write(virtual_time, &registry);
 
-  prof::ProfileReport report = profiler.Finalize();
+  prof::ProfileReport report = prof::Profile(log);
   report.name = "lock_thrash";
   std::ofstream prof_out("PROF_lock_thrash.json");
   report.WriteJson(prof_out);

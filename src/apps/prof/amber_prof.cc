@@ -1,9 +1,9 @@
 // amber-prof: run a registered example/bench scenario under the causal
 // critical-path profiler and report where the virtual time went.
 //
-// For each requested scenario the tool builds a Runtime, attaches a
-// prof::Profiler to the event bus (AddObserver — zero virtual-time cost),
-// runs the workload, and then:
+// For each requested scenario the tool builds a Runtime, attaches a flight
+// recorder that keeps the whole run (AddObserver — zero virtual-time cost),
+// runs the workload, profiles the recorder's log (prof::Profile), and then:
 //   * prints the human-readable summary (attribution table, per-lock
 //     contention, ranked placement advice) to stdout;
 //   * writes the machine-readable report to PROF_<scenario>.json in the
@@ -33,6 +33,7 @@
 #include "src/apps/sor/sor.h"
 #include "src/core/amber.h"
 #include "src/fault/fault.h"
+#include "src/fdr/fdr.h"
 #include "src/policy/policy.h"
 #include "src/prof/profiler.h"
 
@@ -43,10 +44,13 @@ using amber::NodeId;
 using amber::Ref;
 using amber::Time;
 
-// Writes the report for `name`, prints the summary, returns the run's
-// virtual end time.
-Time Emit(prof::Profiler& profiler, const std::string& name, Time end) {
-  prof::ProfileReport report = profiler.Finalize();
+// Every scenario's event log: the whole run, so it can be profiled.
+const fdr::Config kWholeRun{.name = "amber-prof", .ring_capacity = SIZE_MAX};
+
+// Profiles `log`, writes the report for `name`, prints the summary, returns
+// the run's virtual end time.
+Time Emit(const fdr::Recorder& log, const std::string& name, Time end) {
+  prof::ProfileReport report = prof::Profile(log);
   report.name = name;
   report.WriteSummary(std::cout);
   const std::string path = "PROF_" + name + ".json";
@@ -126,8 +130,8 @@ void RunSerial() {
   config.procs_per_node = 1;
   config.arena_bytes = size_t{128} << 20;
   amber::Runtime rt(config);
-  prof::Profiler profiler;
-  rt.AddObserver(&profiler);
+  fdr::Recorder log(kWholeRun);
+  rt.AddObserver(&log);
   const Time end = rt.Run([] {
     auto s = amber::New<Spinner>();
     for (int i = 0; i < 50; ++i) {
@@ -135,7 +139,7 @@ void RunSerial() {
       amber::Work(kMicrosecond * 40);
     }
   });
-  Emit(profiler, "serial", end);
+  Emit(log, "serial", end);
 }
 
 void RunFig2() {
@@ -147,10 +151,10 @@ void RunFig2() {
   config.procs_per_node = 4;
   config.arena_bytes = size_t{1} << 30;
   amber::Runtime rt(config);
-  prof::Profiler profiler;
-  rt.AddObserver(&profiler);
+  fdr::Recorder log(kWholeRun);
+  rt.AddObserver(&log);
   sor::RunAmber(rt, params);
-  Emit(profiler, "fig2", 0);
+  Emit(log, "fig2", 0);
 }
 
 void RunLockConvoy() {
@@ -160,8 +164,8 @@ void RunLockConvoy() {
   config.nodes = kNodes;
   config.procs_per_node = 2;
   amber::Runtime rt(config);
-  prof::Profiler profiler;
-  rt.AddObserver(&profiler);
+  fdr::Recorder log(kWholeRun);
+  rt.AddObserver(&log);
   const Time end = rt.Run([&] {
     auto prot = amber::New<Protected>();
     amber::MoveTo(prot, 1);
@@ -177,7 +181,7 @@ void RunLockConvoy() {
       t.Join();
     }
   });
-  Emit(profiler, "lock_convoy", end);
+  Emit(log, "lock_convoy", end);
 }
 
 void RunChaos() {
@@ -224,10 +228,10 @@ void RunChaos() {
   fault::Injector injector(plan);
   rt.SetFaultInjector(&injector);
   rt.SetFailureHandler([](const amber::FailureEvent&) { return amber::FailureAction::kRetry; });
-  prof::Profiler profiler;
-  rt.AddObserver(&profiler);
+  fdr::Recorder log(kWholeRun);
+  rt.AddObserver(&log);
   sor::RunAmber(rt, params);
-  Emit(profiler, "chaos", 0);
+  Emit(log, "chaos", 0);
 }
 
 // The placement-advice demo. `moved` applies the advisor's recommendation
@@ -238,8 +242,8 @@ Time RunHotspot(bool moved) {
   config.procs_per_node = 2;
   config.arena_bytes = size_t{128} << 20;
   amber::Runtime rt(config);
-  prof::Profiler profiler;
-  rt.AddObserver(&profiler);
+  fdr::Recorder log(kWholeRun);
+  rt.AddObserver(&log);
   // Observe-only placement policy (default config: disabled): it tracks
   // per-object invocation-origin heat from the same bus without issuing any
   // migrations, and prints the hot-object table below — the live view of
@@ -260,7 +264,7 @@ Time RunHotspot(bool moved) {
   });
   heatwatch.WriteHeatSummary(std::cout);
   std::printf("\n");
-  return Emit(profiler, moved ? "hotspot_moved" : "hotspot", end);
+  return Emit(log, moved ? "hotspot_moved" : "hotspot", end);
 }
 
 void RunHotspotPair() {

@@ -225,6 +225,7 @@ struct Runtime::Instrumentation : public sim::SchedObserver,
   }
   void OnFiberDispatch(Time when, sim::NodeId node, const sim::Fiber& f,
                        Duration queue_wait) override {
+    rt->model_->EndSegment(f.id, when, node);
     rt->Emit(&RuntimeObserver::OnThreadDispatch, when, node, f.id, queue_wait);
     if (rt->metrics_ != nullptr) {
       NodeMetrics& m = NodeSlots(node);
@@ -234,19 +235,23 @@ struct Runtime::Instrumentation : public sim::SchedObserver,
     }
   }
   void OnFiberBlock(Time when, sim::NodeId node, const sim::Fiber& f) override {
+    rt->model_->EndSegment(f.id, when, node);
     rt->Emit(&RuntimeObserver::OnThreadBlock, when, node, f.id);
   }
   void OnFiberUnblock(Time when, sim::NodeId node, const sim::Fiber& f, uint64_t waker_id,
                       Time wake_time) override {
+    rt->model_->EndSegment(f.id, when, node, waker_id, wake_time);
     rt->Emit(&RuntimeObserver::OnThreadUnblock, when, node, f.id, waker_id, wake_time);
   }
   void OnFiberPreempt(Time when, sim::NodeId node, const sim::Fiber& f) override {
+    rt->model_->EndSegment(f.id, when, node);
     rt->Emit(&RuntimeObserver::OnThreadPreempt, when, node, f.id);
     if (rt->metrics_ != nullptr) {
       AtNode(NodeSlots(node).preempts, "sched.preempts", node).Add();
     }
   }
   void OnFiberExit(Time when, sim::NodeId node, const sim::Fiber& f) override {
+    rt->model_->EndSegment(f.id, when, node);
     rt->Emit(&RuntimeObserver::OnThreadExit, when, node, f.id);
   }
 
@@ -454,6 +459,10 @@ void Runtime::ThreadMain(ThreadObject* t) {
   }
   t->join_waiters_.clear();
   t->frames_.clear();
+  // Give the chase scratch back now: a finished thread chases no more, and
+  // its object lives on until the runtime's teardown.
+  t->chase_.clear();
+  t->chase_.shrink_to_fit();
 }
 
 // --- Object construction --------------------------------------------------------
@@ -710,7 +719,8 @@ void Runtime::EnsureResident(Object* obj, int64_t payload_bytes) {
   t->resolving_ = true;
   const bool faulty = rpc_->reliability_enabled();
   // (node, stale hint) pairs visited on the way, for path compaction.
-  std::vector<std::pair<NodeId, NodeId>> visited;
+  std::vector<std::pair<NodeId, NodeId>>& visited = t->chase_;
+  visited.clear();
   int hops = 0;
   int failures = 0;  // consecutive unreachable rounds (fault-injected runs)
   for (;;) {
@@ -1964,6 +1974,12 @@ void Runtime::SetFaultInjector(fault::Injector* injector) {
 }
 
 void Runtime::UpdateInstrumentation() {
+  model_->ClearTilers();
+  for (RuntimeObserver* o : observers_) {
+    if (auto* tiler = dynamic_cast<ThreadModel::Tiler*>(o)) {
+      model_->AddTiler(tiler);
+    }
+  }
   const bool on = !observers_.empty() || metrics_ != nullptr;
   if (on && instr_ == nullptr) {
     instr_ = std::make_unique<Instrumentation>(this);

@@ -378,7 +378,7 @@ class Runtime {
   // Installs a scheduling policy on a node (§2.1 replaceable scheduler).
   void SetScheduler(NodeId node, std::unique_ptr<sim::RunQueue> queue);
 
-  // Attaches an event observer (e.g. prof::Profiler), replacing any already
+  // Attaches an event observer (e.g. an fdr::Recorder), replacing any already
   // attached. Call before Run(). Pass nullptr to detach all.
   void SetObserver(RuntimeObserver* observer);
 

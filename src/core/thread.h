@@ -22,6 +22,7 @@
 #include <memory>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/core/object.h"
@@ -58,6 +59,11 @@ class ThreadObject final : public Object {
   std::shared_ptr<void> result_;
   std::vector<sim::Fiber*> join_waiters_;
   std::string name_;
+  // Runtime::EnsureResident's (node, stale hint) pairs for path compaction:
+  // scratch kept across a thread's chases so a warm thread allocates none.
+  // Per thread, since a chase can block mid-way while another thread
+  // chases; released when the thread finishes.
+  std::vector<std::pair<NodeId, NodeId>> chase_;
   bool resolving_ = false;  // re-entry guard for the residency resume hook
   bool finished_ = false;
   bool joined_ = false;

@@ -17,6 +17,24 @@ ThreadModel::Thread& ThreadModel::At(ThreadId thread) {
   return t;
 }
 
+void ThreadModel::Tile(ThreadId thread, Time when, NodeId node, ThreadId waker,
+                       Time wake_time) {
+  const Thread& t = Get(thread);
+  if (!t.seen || t.state == RunState::kExited || when <= t.since) {
+    return;
+  }
+  const Segment seg{thread, t.state, node, t.since, when, waker, wake_time};
+  for (Tiler* tiler : tilers_) {
+    tiler->OnSegment(seg, t);
+  }
+}
+
+void ThreadModel::EndAllSegments(Time horizon) {
+  for (ThreadId id = 0; id < threads_.size(); ++id) {
+    Tile(id, horizon, threads_[id].node, 0, 0);
+  }
+}
+
 void ThreadModel::OnThreadCreate(Time when, NodeId node, ThreadId thread,
                                  const std::string& name, ThreadId parent) {
   Thread& t = At(thread);

@@ -3,10 +3,10 @@
 // is waiting on, and what it holds.
 //
 // The runtime owns one model and updates it from its single emission
-// dispatch, once per event, only while an observer is attached. The
-// critical-path profiler (src/prof), the request tracer (src/rtrace) and the
-// flight recorder (src/fdr) read it instead of each re-deriving thread state
-// from the event stream; each keeps only its own policy on top.
+// dispatch, once per event, only while an observer is attached. The request
+// tracer (src/rtrace) and the flight recorder (src/fdr) read it instead of
+// each re-deriving thread state from the event stream; the critical-path
+// profiler (src/prof) replays a recorder's log through a model of its own.
 //
 // Ordering: observers see the model as it was *before* the event they are
 // handling. The dispatch fans an event out first and applies it to the
@@ -28,9 +28,17 @@
 // OnRecoveryStart/OnRecoveryEnd brackets, and every block inside belongs to
 // the episode.
 //
-// How a consumer turns markers into a cause is its own policy: the profiler
-// ranks them (join, lock, migration, backoff, rpc, waker); the tracer and
-// the recorder take the last one armed.
+// Tiling. The model is the one place that cuts a thread's lifetime into
+// segments. Each dispatch, block, unblock, preempt or exit of a thread ends
+// its open segment: [since, when) in the state the thread was in, handed to
+// every attached Tiler with the thread as it was throughout (zero-length
+// segments are skipped). A thread's segments tile [create, exit] with no gap
+// or overlap. The event's source calls EndSegment just before it delivers
+// the event, so tilers and observers alike see the model as it was before
+// it. A Tiler supplies only its category rule: the profiler ranks the
+// markers (join, lock, migration, backoff, rpc, waker); the tracer takes the
+// last one armed. The runtime attaches every observer that is also a Tiler;
+// observers that do not tile pay nothing for it.
 
 #ifndef AMBER_SRC_CORE_THREAD_MODEL_H_
 #define AMBER_SRC_CORE_THREAD_MODEL_H_
@@ -92,6 +100,44 @@ class ThreadModel final : public RuntimeObserver {
     bool seen = false;          // some event has named this thread
   };
 
+  // One closed stretch of a thread's lifetime: [start, end) in `state`,
+  // ended by an event on `node`. A kBlocked segment ended by an unblock
+  // carries the wake's causal edge (`waker`, its `wake_time`); 0 otherwise.
+  struct Segment {
+    ThreadId thread = 0;
+    RunState state = RunState::kReady;
+    NodeId node = 0;
+    Time start = 0;
+    Time end = 0;
+    ThreadId waker = 0;
+    Time wake_time = 0;
+  };
+
+  // A consumer of the tiling. `t` is the thread as it was for the whole
+  // segment: its markers, lock, rpc and recovery name a kBlocked one.
+  class Tiler {
+   public:
+    virtual ~Tiler() = default;
+    virtual void OnSegment(const Segment& seg, const Thread& t) = 0;
+  };
+
+  void AddTiler(Tiler* tiler) { tilers_.push_back(tiler); }
+  void ClearTilers() { tilers_.clear(); }
+
+  // Ends `thread`'s open segment at `when`. Call just before delivering a
+  // dispatch, block, unblock (with its waker and wake time), preempt or exit
+  // of `thread` on `node`. Free without a tiler.
+  void EndSegment(ThreadId thread, Time when, NodeId node, ThreadId waker = 0,
+                  Time wake_time = 0) {
+    if (!tilers_.empty()) {
+      Tile(thread, when, node, waker, wake_time);
+    }
+  }
+
+  // Ends every live thread's open segment at `horizon` (threads that never
+  // exited), on the node it was last seen on.
+  void EndAllSegments(Time horizon);
+
   // The thread's state; a default Thread (seen == false) when no event has
   // named it yet.
   const Thread& Get(ThreadId thread) const {
@@ -143,6 +189,7 @@ class ThreadModel final : public RuntimeObserver {
 
  private:
   Thread& At(ThreadId thread);
+  void Tile(ThreadId thread, Time when, NodeId node, ThreadId waker, Time wake_time);
   void SetState(Thread& t, RunState state, Time when) {
     t.state = state;
     t.since = when;
@@ -153,6 +200,7 @@ class ThreadModel final : public RuntimeObserver {
   // threads already recorded.
   std::deque<Thread> threads_;
   std::unordered_map<uint64_t, ThreadId> rpc_requester_;  // outstanding rpc id -> thread
+  std::vector<Tiler*> tilers_;
 };
 
 }  // namespace amber

@@ -4,10 +4,14 @@
 #include <cstdio>
 #include <string_view>
 
+#include "src/base/json.h"
 #include "src/metrics/metrics.h"
 #include "src/sim/fiber.h"
 
 namespace fdr {
+
+using amber::JsonEscape;
+
 namespace {
 
 // Stable type names — the dump schema renderers switch on.
@@ -69,28 +73,6 @@ const char* DropName(uint8_t code) {
   return "other";
 }
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':  out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -178,7 +160,7 @@ int Recorder::ObjectId(const void* obj) {
   }
   const int id = static_cast<int>(objects_.size());
   obj_ids_.emplace(obj, id);
-  objects_.emplace_back();
+  objects_.emplace_back().identity = obj;
   return id;
 }
 
@@ -421,6 +403,96 @@ std::vector<const Recorder::Record*> Recorder::Merged() const {
   std::sort(merged.begin(), merged.end(),
             [](const Record* a, const Record* b) { return a->seq < b->seq; });
   return merged;
+}
+
+void Recorder::Replay(amber::RuntimeObserver& observer, amber::ThreadModel& model) const {
+  using O = amber::RuntimeObserver;
+  using E = EventType;
+  auto emit = [&](auto hook, const auto&... args) {
+    (observer.*hook)(args...);
+    (model.*hook)(args...);
+  };
+  auto obj = [this](int64_t id) { return objects_[static_cast<size_t>(id)].identity; };
+  for (const Record* rec : Merged()) {
+    const Record& r = *rec;
+    const Time t = r.when;
+    const NodeId n = r.node;
+    const ThreadId th = static_cast<ThreadId>(r.a);
+    const bool flag = r.flag != 0;
+    // Decoding table: the encoders above, read backwards.
+    switch (r.type) {
+      case E::kThreadCreate:
+        emit(&O::OnThreadCreate, t, n, th, model_ != nullptr ? model_->Get(th).name : "",
+             static_cast<ThreadId>(r.b));
+        break;
+      case E::kThreadDispatch:
+        model.EndSegment(th, t, n);
+        emit(&O::OnThreadDispatch, t, n, th, r.b);
+        break;
+      case E::kThreadBlock:
+        model.EndSegment(th, t, n);
+        emit(&O::OnThreadBlock, t, n, th);
+        break;
+      case E::kThreadUnblock:
+        model.EndSegment(th, t, n, static_cast<ThreadId>(r.b), r.c);
+        emit(&O::OnThreadUnblock, t, n, th, static_cast<ThreadId>(r.b), r.c);
+        break;
+      case E::kThreadPreempt:
+        model.EndSegment(th, t, n);
+        emit(&O::OnThreadPreempt, t, n, th);
+        break;
+      case E::kThreadExit:
+        model.EndSegment(th, t, n);
+        emit(&O::OnThreadExit, t, n, th);
+        break;
+      case E::kThreadJoin: emit(&O::OnThreadJoin, t, n, th, static_cast<ThreadId>(r.b)); break;
+      case E::kThreadMigrate: emit(&O::OnThreadMigrate, t, n, r.aux, th, r.b); break;
+      case E::kInvokeEnter:
+        emit(&O::OnInvokeEnter, t, n, th, obj(r.b), objects_[static_cast<size_t>(r.b)].label,
+             flag, r.aux, r.c);
+        break;
+      case E::kInvokeExit: emit(&O::OnInvokeExit, t, n, th, r.b, flag, r.c); break;
+      case E::kLockBlocked: emit(&O::OnLockBlocked, t, n, th, r.aux); break;
+      case E::kLockAcquired: emit(&O::OnLockAcquired, t, n, th, r.aux, r.b); break;
+      case E::kLockReleased: emit(&O::OnLockReleased, t, n, th, r.aux, r.b); break;
+      case E::kConditionWake: emit(&O::OnConditionWake, t, n, r.aux, static_cast<int>(r.a)); break;
+      case E::kRpcRequest:
+        emit(&O::OnRpcRequest, t, n, r.aux, r.b, static_cast<uint64_t>(r.a),
+             static_cast<ThreadId>(r.c));
+        break;
+      case E::kRpcResponse:
+        emit(&O::OnRpcResponse, t, r.c, n, r.aux, r.b, static_cast<uint64_t>(r.a));
+        break;
+      case E::kRpcRetry:
+        emit(&O::OnRpcRetry, t, n, r.aux, static_cast<uint64_t>(r.a), static_cast<int>(r.b),
+             static_cast<ThreadId>(r.c));
+        break;
+      case E::kRpcTimeout:
+        emit(&O::OnRpcTimeout, t, n, r.aux, static_cast<uint64_t>(r.a), static_cast<int>(r.b),
+             static_cast<ThreadId>(r.c));
+        break;
+      case E::kObjectMove: emit(&O::OnObjectMove, t, obj(r.a), n, r.aux, r.b); break;
+      case E::kReplicaInstall: emit(&O::OnReplicaInstall, t, obj(r.a), n); break;
+      case E::kMessage: emit(&O::OnMessage, t, r.b, n, r.aux, r.a); break;
+      case E::kMessageDropped:
+        emit(&O::OnMessageDropped, t, n, r.aux, r.a, DropName(r.flag));
+        break;
+      case E::kMessageDuplicated: emit(&O::OnMessageDuplicated, t, n, r.aux, r.a); break;
+      case E::kMessageDelayed: emit(&O::OnMessageDelayed, t, n, r.aux, r.a); break;
+      case E::kNodeCrash: emit(&O::OnNodeCrash, t, n); break;
+      case E::kNodeRestart: emit(&O::OnNodeRestart, t, n); break;
+      case E::kFailureBackoff: emit(&O::OnFailureBackoff, t, n, th, r.b); break;
+      case E::kNodeSuspected: emit(&O::OnNodeSuspected, t, n, r.aux); break;
+      case E::kNodeTrusted: emit(&O::OnNodeTrusted, t, n, r.aux); break;
+      case E::kRecoveryStart: emit(&O::OnRecoveryStart, t, n, th, obj(r.b)); break;
+      case E::kRecoveryEnd: emit(&O::OnRecoveryEnd, t, n, th, obj(r.b), flag); break;
+      case E::kObjectRecovered: emit(&O::OnObjectRecovered, t, obj(r.a), r.aux, n, flag); break;
+      case E::kNodeDrained: emit(&O::OnNodeDrained, t, n, static_cast<int>(r.a)); break;
+      case E::kPolicyMigration:
+        emit(&O::OnPolicyMigration, t, obj(r.a), r.aux, n, flag, r.b);
+        break;
+    }
+  }
 }
 
 void Recorder::RenderEvent(std::ostream& out, const Record& r) const {

@@ -27,8 +27,10 @@
 //
 // The recorder is the runtime's one event log: WriteChromeTrace renders the
 // same seq-merged records as a chrome://tracing document (load it in
-// https://ui.perfetto.dev). A recorder with ring_capacity = SIZE_MAX keeps
-// the whole run, so its trace covers every event.
+// https://ui.perfetto.dev), and Replay re-delivers them as bus events (the
+// critical-path profile, src/prof, is a replay). A recorder with
+// ring_capacity = SIZE_MAX keeps the whole run, so its trace covers every
+// event.
 //
 // Contract: the recorder is an observer-only tap. Attaching it changes no
 // virtual time and no existing output; detaching leaves the binary
@@ -113,6 +115,25 @@ enum class EventType : uint8_t {
 
 class Recorder : public amber::BlackBox {
  public:
+  // The compact binary encoding: one fixed-width record per event. `a`,
+  // `b`, `c` and `aux` carry per-type arguments (see RenderEvent in
+  // fdr.cc for the decoding table); `seq` is the global append order — the
+  // causal merge key across rings (events are emitted at ordered points, so
+  // append order *is* the virtual-time order).
+  struct Record {
+    Time when = 0;
+    uint64_t seq = 0;
+    int64_t a = 0;
+    int64_t b = 0;
+    int64_t c = 0;
+    uint64_t span = 0;  // active rtrace span of the acting thread (0 = untraced)
+    int32_t aux = 0;
+    EventType type = EventType::kThreadCreate;
+    uint8_t flag = 0;  // small per-type flag: remote / ok / drop-reason code
+    int16_t node = 0;
+  };
+  static_assert(sizeof(Record) == 56, "compact record layout");
+
   explicit Recorder(Config config = {});
 
   // Creates one (empty) ring per node and registers with the runtime:
@@ -151,6 +172,16 @@ class Recorder : public amber::BlackBox {
   // seen); moved and replicated objects are "obj-N", numbered in first-seen
   // order. Same records, same bytes.
   void WriteChromeTrace(std::ostream& out) const;
+
+  // Every retained record across the rings, in global append (seq) order.
+  std::vector<const Record*> Merged() const;
+
+  // Delivers the retained records, in seq order, as the bus events they
+  // encode: each to `observer` and then to `model`, and a record that ends
+  // a thread's segment to model.EndSegment before both — the runtime's own
+  // dispatch order. Objects keep the identities they were recorded under;
+  // thread names come from the attached runtime's model ("" without one).
+  void Replay(amber::RuntimeObserver& observer, amber::ThreadModel& model) const;
 
   // --- amber::RuntimeObserver -------------------------------------------------
   void OnThreadMigrate(Time when, NodeId src, NodeId dst, ThreadId thread,
@@ -202,25 +233,6 @@ class Recorder : public amber::BlackBox {
                          Duration cost) override;
 
  private:
-  // The compact binary encoding: one fixed-width record per event. `a`,
-  // `b`, `c` and `aux` carry per-type arguments (see RenderEvent in
-  // fdr.cc for the decoding table); `seq` is the global append order — the
-  // causal merge key across rings (events are emitted at ordered points, so
-  // append order *is* the virtual-time order).
-  struct Record {
-    Time when = 0;
-    uint64_t seq = 0;
-    int64_t a = 0;
-    int64_t b = 0;
-    int64_t c = 0;
-    uint64_t span = 0;  // active rtrace span of the acting thread (0 = untraced)
-    int32_t aux = 0;
-    EventType type = EventType::kThreadCreate;
-    uint8_t flag = 0;  // small per-type flag: remote / ok / drop-reason code
-    int16_t node = 0;
-  };
-  static_assert(sizeof(Record) == 56, "compact record layout");
-
   struct Ring {
     std::vector<Record> buf;  // grows on demand up to config_.ring_capacity
     uint64_t appended = 0;
@@ -245,6 +257,7 @@ class Recorder : public amber::BlackBox {
   };
 
   struct ObjectLive {
+    const void* identity = nullptr;  // the address it was recorded under
     std::string label;   // demangled class, from the first invoke
     NodeId node = -1;    // last known location
     Time last_touch = 0;
@@ -259,9 +272,6 @@ class Recorder : public amber::BlackBox {
   }
   int ObjectId(const void* obj);
   void TouchObject(int id, NodeId node, Time when);
-
-  // Every retained record across the rings, in global append (seq) order.
-  std::vector<const Record*> Merged() const;
 
   // Dump helpers (fdr.cc).
   void RenderEvent(std::ostream& out, const Record& r) const;

@@ -1,43 +1,14 @@
 #include "src/metrics/metrics.h"
 
-#include <cinttypes>
 #include <cmath>
-#include <cstdio>
 #include <iostream>
 
+#include "src/base/json.h"
+
 namespace metrics {
-namespace {
 
-// JSON number rendering: integral values print without a fraction so counter
-// sums and nanosecond timestamps stay exact; everything else uses %.9g.
-// Both forms are deterministic functions of the value's bit pattern.
-std::string Num(double v) {
-  char buf[40];
-  if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 9.0e15) {
-    std::snprintf(buf, sizeof(buf), "%" PRId64, static_cast<int64_t>(v));
-  } else if (std::isfinite(v)) {
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-  } else {
-    std::snprintf(buf, sizeof(buf), "0");  // JSON has no inf/nan
-  }
-  return buf;
-}
-
-std::string Quote(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-    }
-    if (static_cast<unsigned char>(c) >= 0x20) {
-      out.push_back(c);
-    }
-  }
-  out.push_back('"');
-  return out;
-}
-
-}  // namespace
+using amber::JsonNumber;
+using amber::JsonQuote;
 
 HistogramSnapshot Histogram::Snapshot() const {
   HistogramSnapshot s{acc_.count(), acc_.sum(), {}};
@@ -183,11 +154,11 @@ void Registry::WriteJson(std::ostream& out) const {
   out << "{\n  \"counters\": {";
   bool first_fam = true;
   for (const auto& [name, fam] : counters_) {
-    out << (first_fam ? "\n" : ",\n") << "    " << Quote(name) << ": {";
+    out << (first_fam ? "\n" : ",\n") << "    " << JsonQuote(name) << ": {";
     first_fam = false;
     bool first = true;
     for (const auto& [label, c] : fam) {
-      out << (first ? "" : ", ") << Quote(label) << ": " << c.value();
+      out << (first ? "" : ", ") << JsonQuote(label) << ": " << c.value();
       first = false;
     }
     out << "}";
@@ -195,11 +166,11 @@ void Registry::WriteJson(std::ostream& out) const {
   out << (first_fam ? "" : "\n  ") << "},\n  \"gauges\": {";
   first_fam = true;
   for (const auto& [name, fam] : gauges_) {
-    out << (first_fam ? "\n" : ",\n") << "    " << Quote(name) << ": {";
+    out << (first_fam ? "\n" : ",\n") << "    " << JsonQuote(name) << ": {";
     first_fam = false;
     bool first = true;
     for (const auto& [label, g] : fam) {
-      out << (first ? "" : ", ") << Quote(label) << ": " << Num(g.value());
+      out << (first ? "" : ", ") << JsonQuote(label) << ": " << JsonNumber(g.value());
       first = false;
     }
     out << "}";
@@ -207,22 +178,22 @@ void Registry::WriteJson(std::ostream& out) const {
   out << (first_fam ? "" : "\n  ") << "},\n  \"histograms\": {";
   first_fam = true;
   for (const auto& [name, fam] : histograms_) {
-    out << (first_fam ? "\n" : ",\n") << "    " << Quote(name) << ": {";
+    out << (first_fam ? "\n" : ",\n") << "    " << JsonQuote(name) << ": {";
     first_fam = false;
     bool first = true;
     for (const auto& [label, h] : fam) {
-      out << (first ? "\n      " : ",\n      ") << Quote(label) << ": {\"count\": " << h.count()
-          << ", \"sum\": " << Num(h.sum()) << ", \"min\": " << Num(h.min())
-          << ", \"max\": " << Num(h.max()) << ", \"mean\": " << Num(h.mean())
-          << ", \"p50\": " << Num(h.Percentile(50)) << ", \"p90\": " << Num(h.Percentile(90))
-          << ", \"p99\": " << Num(h.Percentile(99)) << ", \"p999\": " << Num(h.Percentile(99.9));
+      out << (first ? "\n      " : ",\n      ") << JsonQuote(label) << ": {\"count\": " << h.count()
+          << ", \"sum\": " << JsonNumber(h.sum()) << ", \"min\": " << JsonNumber(h.min())
+          << ", \"max\": " << JsonNumber(h.max()) << ", \"mean\": " << JsonNumber(h.mean())
+          << ", \"p50\": " << JsonNumber(h.Percentile(50)) << ", \"p90\": " << JsonNumber(h.Percentile(90))
+          << ", \"p99\": " << JsonNumber(h.Percentile(99)) << ", \"p999\": " << JsonNumber(h.Percentile(99.9));
       // Exemplars render only when present, so histograms recorded without
       // trace ids emit exactly the pre-exemplar document.
       if (!h.exemplars().empty()) {
         out << ", \"exemplars\": {";
         bool first_ex = true;
         for (const auto& [bucket, ex] : h.exemplars()) {
-          out << (first_ex ? "" : ", ") << "\"" << bucket << "\": {\"value\": " << Num(ex.value)
+          out << (first_ex ? "" : ", ") << "\"" << bucket << "\": {\"value\": " << JsonNumber(ex.value)
               << ", \"trace_id\": " << ex.trace_id << "}";
           first_ex = false;
         }

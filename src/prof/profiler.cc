@@ -1,26 +1,18 @@
 #include "src/prof/profiler.h"
 
 #include <algorithm>
-#include <cinttypes>
 #include <cstdio>
+
+#include "src/base/json.h"
+#include "src/base/panic.h"
 
 namespace prof {
 namespace {
 
-// Minimal JSON string escaping (labels are runtime-generated, but be safe).
-std::string Escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-    }
-    if (static_cast<unsigned char>(c) >= 0x20) {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
+using amber::Duration;
+using amber::JsonEscape;
+using amber::ThreadId;
+using amber::ThreadModel;
 
 std::string NodeCat(const char* prefix, NodeId n) {
   return std::string(prefix) + std::to_string(n);
@@ -31,52 +23,126 @@ std::string NodeCat(const char* prefix, NodeId n) {
 // single virtual instant are short in practice; this is a cycle guard.
 constexpr int kStallLimit = 64;
 
-}  // namespace
+// Rebuilds a run from its replayed events: the model's segments, each
+// blocked one named by the priority rule, plus the object and lock
+// aggregates; Finalize walks the critical path and ranks the advice.
+class Builder final : public amber::RuntimeObserver, public ThreadModel::Tiler {
+ public:
+  explicit Builder(const ThreadModel& model) : model_(model) {}
 
-// --- Event recording --------------------------------------------------------------
+  // Walks the critical path back from `horizon`, the run's last instant.
+  ProfileReport Finalize(Time horizon);
 
-Profiler::ThreadSegs& Profiler::Ensure(ThreadId tid, Time when) {
-  auto [it, inserted] = threads_.try_emplace(tid);
-  if (inserted) {
-    it->second.cursor = when;
-    if (model_ == nullptr) {
-      model_ = amber::Runtime::Current().thread_model();
-    }
+  // --- ThreadModel::Tiler -----------------------------------------------------
+  void OnSegment(const ThreadModel::Segment& seg, const ThreadModel::Thread& t) override;
+
+  // --- RuntimeObserver --------------------------------------------------------
+  void OnThreadExit(Time when, NodeId node, ThreadId thread) override;
+  void OnThreadMigrate(Time when, NodeId src, NodeId dst, ThreadId thread,
+                       int64_t bytes) override;
+  void OnInvokeEnter(Time when, NodeId node, ThreadId thread, const void* obj,
+                     const std::string& object, bool remote, NodeId origin,
+                     Duration entry_overhead) override;
+  void OnInvokeExit(Time when, NodeId node, ThreadId thread, Duration span, bool remote,
+                    Duration exit_overhead) override;
+  void OnLockAcquired(Time when, NodeId node, ThreadId thread, int lock, Duration wait) override;
+  void OnLockReleased(Time, NodeId, ThreadId, int lock, Duration held) override {
+    locks_[lock].hold_ns += held;
   }
-  return it->second;
-}
-
-void Profiler::CloseSegment(ThreadSegs& st, Time when, SegKind kind, Cause cause, NodeId node,
-                            int aux, ThreadId other, Time wake_time) {
-  if (when <= st.cursor) {
-    // Zero-length (or defensively, out-of-order) interval: nothing to tile.
-    st.cursor = std::max(st.cursor, when);
-    return;
+  // The wait that just ended was a timeout, not a service: fault-induced.
+  void OnRpcRetry(Time, NodeId, NodeId, uint64_t, int, ThreadId requester) override {
+    MarkLastWaitFault(threads_[requester]);
   }
+  void OnRpcTimeout(Time, NodeId, NodeId, uint64_t, int, ThreadId requester) override {
+    MarkLastWaitFault(threads_[requester]);
+  }
+  void OnObjectMove(Time when, const void* obj, NodeId, NodeId dst, int64_t) override;
+
+ private:
+  enum class SegKind : uint8_t { kQueued, kRunning, kBlocked };
+  enum class Cause : uint8_t {
+    kNone,
+    kLock,
+    kRpc,
+    kJoin,
+    kMigration,
+    kFault,
+    kWake,
+    kNet,
+    kRecovery,
+  };
+
+  struct Segment {
+    Time start = 0;
+    Time end = 0;
+    SegKind kind = SegKind::kQueued;
+    Cause cause = Cause::kNone;
+    NodeId node = 0;
+    int aux = 0;         // lock id (kLock) or serving node (kRpc)
+    ThreadId other = 0;  // join target (kJoin) or waker (kWake)
+    Time wake_time = 0;  // when the waker called Wake (kWake / kJoin)
+  };
+
+  // A thread's named segments; its status, markers and frames live in the
+  // model.
+  struct ThreadSegs {
+    Time exit_time = 0;
+    int64_t exit_seq = -1;  // -1: has not exited
+    std::vector<Segment> segs;
+    int last_blocked = -1;  // index of the most recently closed blocked seg
+  };
+
+  // The priority rule: names a block from the markers armed before it (they
+  // know *why* the thread blocked), then the waker, then the network.
+  static void NameBlock(Segment& s, const ThreadModel::Segment& seg, const ThreadModel::Thread& m);
+  // Reclassifies the block that just ended as fault-induced (a timeout).
+  void MarkLastWaitFault(ThreadSegs& st);
+  int ObjectId(const void* obj);
+  const ThreadSegs& SegsOf(ThreadId tid) const {
+    static const ThreadSegs kNone;
+    const auto it = threads_.find(tid);
+    return it != threads_.end() ? it->second : kNone;
+  }
+  // Index of the segment containing t (start < t <= end), or the last
+  // segment before t (gap), or -1 if t is at/before the first segment.
+  static int SegmentBefore(const ThreadSegs& st, Time t);
+
+  const ThreadModel& model_;
+  std::map<ThreadId, ThreadSegs> threads_;
+  std::map<const void*, int> obj_ids_;
+  std::vector<ObjectProfile> objects_;  // by dense id
+  std::map<int, LockProfile> locks_;    // by lock id
+  int64_t exit_counter_ = 0;
+};
+
+void Builder::OnSegment(const ThreadModel::Segment& seg, const ThreadModel::Thread& t) {
   Segment s;
-  s.start = st.cursor;
-  s.end = when;
-  s.kind = kind;
-  s.cause = cause;
-  s.node = node;
-  s.aux = aux;
-  s.other = other;
-  s.wake_time = wake_time;
-  if (kind == SegKind::kBlocked) {
-    st.last_blocked = static_cast<int>(st.segs.size());
+  s.start = seg.start;
+  s.end = seg.end;
+  s.node = seg.node;
+  ThreadSegs& st = threads_[seg.thread];
+  switch (seg.state) {
+    case ThreadModel::RunState::kReady:
+      break;
+    case ThreadModel::RunState::kRunning:
+      s.kind = SegKind::kRunning;
+      break;
+    case ThreadModel::RunState::kBlocked:
+      s.kind = SegKind::kBlocked;
+      NameBlock(s, seg, t);
+      st.last_blocked = static_cast<int>(st.segs.size());
+      break;
+    case ThreadModel::RunState::kExited:
+      return;
   }
   st.segs.push_back(s);
-  st.cursor = when;
 }
 
-void Profiler::CloseBlocked(ThreadSegs& st, ThreadId tid, Time when, NodeId node, ThreadId waker,
-                            Time wake_time) {
-  // Resolve the wait's cause. Priority: the markers first (they know *why*
-  // the thread blocked), then the waker's identity, then the network
-  // default. A migration announced after arrival names no coming wait.
-  using Kind = amber::ThreadModel::Marker::Kind;
-  const amber::ThreadModel::Thread& m = model_->Get(tid);
-  auto armed = [&m](Kind kind) -> const amber::ThreadModel::Marker* {
+void Builder::NameBlock(Segment& s, const ThreadModel::Segment& seg,
+                        const ThreadModel::Thread& m) {
+  // A migration announced after arrival names no coming wait.
+  using Kind = ThreadModel::Marker::Kind;
+  auto armed = [&m](Kind kind) -> const ThreadModel::Marker* {
     for (auto it = m.markers.rbegin(); it != m.markers.rend(); ++it) {
       if (it->kind == kind) {
         return &*it;
@@ -84,39 +150,35 @@ void Profiler::CloseBlocked(ThreadSegs& st, ThreadId tid, Time when, NodeId node
     }
     return nullptr;
   };
-  Cause cause = Cause::kNet;
-  int aux = 0;
-  ThreadId other = 0;
-  Time wt = 0;
+  s.cause = Cause::kNet;
   if (const auto* join = armed(Kind::kJoin)) {
-    cause = Cause::kJoin;
-    other = static_cast<ThreadId>(join->arg);
-    wt = wake_time;
+    s.cause = Cause::kJoin;
+    s.other = static_cast<ThreadId>(join->arg);
+    s.wake_time = seg.wake_time;
   } else if (m.lock >= 0) {
-    cause = Cause::kLock;
-    aux = m.lock;
+    s.cause = Cause::kLock;
+    s.aux = m.lock;
   } else if (armed(Kind::kMigration) != nullptr) {
-    cause = Cause::kMigration;
+    s.cause = Cause::kMigration;
   } else if (armed(Kind::kBackoff) != nullptr) {
-    cause = Cause::kFault;
+    s.cause = Cause::kFault;
   } else if (m.rpc) {
-    cause = Cause::kRpc;
-    aux = m.rpc_dst;
-  } else if (waker != 0 && waker != tid) {
-    cause = Cause::kWake;
-    other = waker;
-    wt = wake_time;
+    s.cause = Cause::kRpc;
+    s.aux = m.rpc_dst;
+  } else if (seg.waker != 0 && seg.waker != seg.thread) {
+    s.cause = Cause::kWake;
+    s.other = seg.waker;
+    s.wake_time = seg.wake_time;
   }
   // Inside a recovery episode every rpc/net wait is the recovery's cost —
   // the probes and restores themselves — not ordinary service time.
-  if (m.recovery > 0 && (cause == Cause::kRpc || cause == Cause::kNet)) {
-    cause = Cause::kRecovery;
-    aux = 0;
+  if (m.recovery > 0 && (s.cause == Cause::kRpc || s.cause == Cause::kNet)) {
+    s.cause = Cause::kRecovery;
+    s.aux = 0;
   }
-  CloseSegment(st, when, SegKind::kBlocked, cause, node, aux, other, wt);
 }
 
-void Profiler::MarkLastWaitFault(ThreadSegs& st) {
+void Builder::MarkLastWaitFault(ThreadSegs& st) {
   if (st.last_blocked >= 0) {
     Segment& seg = st.segs[st.last_blocked];
     if (seg.cause == Cause::kRpc || seg.cause == Cause::kNet) {
@@ -125,56 +187,23 @@ void Profiler::MarkLastWaitFault(ThreadSegs& st) {
   }
 }
 
-int Profiler::ObjectId(const void* obj) {
+int Builder::ObjectId(const void* obj) {
   const auto [it, inserted] = obj_ids_.try_emplace(obj, static_cast<int>(obj_ids_.size()));
   if (inserted) {
-    objects_.emplace_back();
+    objects_.emplace_back().id = it->second;
   }
   return it->second;
 }
 
-void Profiler::OnThreadCreate(Time when, NodeId node, ThreadId thread, const std::string& name,
-                              ThreadId parent) {
-  last_time_ = std::max(last_time_, when);
-  Ensure(thread, when);
-}
-
-void Profiler::OnThreadDispatch(Time when, NodeId node, ThreadId thread, Duration queue_wait) {
-  (void)queue_wait;  // the queued segment [cursor, when] already covers it
-  last_time_ = std::max(last_time_, when);
-  CloseSegment(Ensure(thread, when), when, SegKind::kQueued, Cause::kNone, node);
-}
-
-void Profiler::OnThreadBlock(Time when, NodeId node, ThreadId thread) {
-  last_time_ = std::max(last_time_, when);
-  CloseSegment(Ensure(thread, when), when, SegKind::kRunning, Cause::kNone, node);
-}
-
-void Profiler::OnThreadUnblock(Time when, NodeId node, ThreadId thread, ThreadId waker,
-                               Time wake_time) {
-  last_time_ = std::max(last_time_, when);
-  CloseBlocked(Ensure(thread, when), thread, when, node, waker, wake_time);
-}
-
-void Profiler::OnThreadPreempt(Time when, NodeId node, ThreadId thread) {
-  last_time_ = std::max(last_time_, when);
-  CloseSegment(Ensure(thread, when), when, SegKind::kRunning, Cause::kNone, node);
-}
-
-void Profiler::OnThreadExit(Time when, NodeId node, ThreadId thread) {
-  last_time_ = std::max(last_time_, when);
-  ThreadSegs& st = Ensure(thread, when);
-  CloseSegment(st, when, SegKind::kRunning, Cause::kNone, node);
+void Builder::OnThreadExit(Time when, NodeId, ThreadId thread) {
+  ThreadSegs& st = threads_[thread];
   st.exit_time = when;
   st.exit_seq = exit_counter_++;
 }
 
-void Profiler::OnThreadMigrate(Time when, NodeId src, NodeId dst, ThreadId thread,
-                               int64_t bytes) {
-  (void)bytes;
-  last_time_ = std::max(last_time_, when);
-  ThreadSegs& st = Ensure(thread, when);
-  if (model_->Get(thread).node == dst && st.last_blocked >= 0) {
+void Builder::OnThreadMigrate(Time, NodeId, NodeId dst, ThreadId thread, int64_t) {
+  ThreadSegs& st = threads_[thread];
+  if (model_.Get(thread).node == dst && st.last_blocked >= 0) {
     // Reliable-mode travel announces the migration *after* arrival (the
     // thread already runs on dst): the wait it just finished was the
     // transit. Failed attempts were already reclassified by OnRpcRetry.
@@ -187,11 +216,10 @@ void Profiler::OnThreadMigrate(Time when, NodeId src, NodeId dst, ThreadId threa
   }
 }
 
-void Profiler::OnInvokeEnter(Time when, NodeId node, ThreadId thread, const void* obj,
-                             const std::string& object, bool remote, NodeId origin,
-                             Duration entry_overhead) {
-  last_time_ = std::max(last_time_, when);
-  ObjectAgg& agg = objects_[ObjectId(obj)];
+void Builder::OnInvokeEnter(Time when, NodeId node, ThreadId, const void* obj,
+                            const std::string& object, bool remote, NodeId origin,
+                            Duration entry_overhead) {
+  ObjectProfile& agg = objects_[ObjectId(obj)];
   agg.label = object;
   agg.home = node;
   ++agg.invocations;
@@ -200,83 +228,36 @@ void Profiler::OnInvokeEnter(Time when, NodeId node, ThreadId thread, const void
     ++agg.remote_invocations;
     agg.overhead_by_origin[origin] += entry_overhead;
   }
-  Ensure(thread, when);
 }
 
-void Profiler::OnInvokeExit(Time when, NodeId node, ThreadId thread, Duration span, bool remote,
-                            Duration exit_overhead) {
-  (void)node;
-  (void)span;
-  (void)remote;
-  last_time_ = std::max(last_time_, when);
-  Ensure(thread, when);
-  const amber::ThreadModel::Thread& m = model_->Get(thread);
+void Builder::OnInvokeExit(Time when, NodeId, ThreadId thread, Duration, bool,
+                           Duration exit_overhead) {
+  const ThreadModel::Thread& m = model_.Get(thread);
   if (m.frames.empty()) {
-    return;  // enter predates attachment
+    return;  // enter predates the log
   }
-  const amber::ThreadModel::Frame& f = m.frames.back();  // still open: the model lags the event
+  const ThreadModel::Frame& f = m.frames.back();  // still open: the model lags the event
   if (f.remote) {
     objects_[ObjectId(f.object)].overhead_by_origin[f.origin] += exit_overhead;
   }
 }
 
-void Profiler::OnLockAcquired(Time when, NodeId node, ThreadId thread, int lock, Duration wait) {
-  (void)node;
-  last_time_ = std::max(last_time_, when);
-  Ensure(thread, when);
-  LockAgg& l = locks_[lock];
+void Builder::OnLockAcquired(Time, NodeId, ThreadId, int lock, Duration wait) {
+  LockProfile& l = locks_[lock];
   ++l.acquisitions;
   l.wait_ns += wait;
   l.max_wait_ns = std::max(l.max_wait_ns, wait);
 }
 
-void Profiler::OnLockReleased(Time when, NodeId node, ThreadId thread, int lock, Duration held) {
-  (void)node;
-  (void)thread;
-  last_time_ = std::max(last_time_, when);
-  locks_[lock].hold_ns += held;
-}
-
-void Profiler::OnRpcRequest(Time depart, NodeId src, NodeId dst, int64_t bytes, uint64_t id,
-                            ThreadId requester) {
-  last_time_ = std::max(last_time_, depart);
-  Ensure(requester, depart);
-}
-
-void Profiler::OnRpcResponse(Time when, Time reply_arrive, NodeId src, NodeId dst, int64_t bytes,
-                             uint64_t id) {
-  last_time_ = std::max(last_time_, std::max(when, reply_arrive));
-}
-
-void Profiler::OnRpcRetry(Time when, NodeId src, NodeId dst, uint64_t id, int attempt,
-                          ThreadId requester) {
-  last_time_ = std::max(last_time_, when);
-  // The wait that just ended was a timeout, not a service: fault-induced.
-  MarkLastWaitFault(Ensure(requester, when));
-}
-
-void Profiler::OnRpcTimeout(Time when, NodeId src, NodeId dst, uint64_t id, int attempts,
-                            ThreadId requester) {
-  last_time_ = std::max(last_time_, when);
-  MarkLastWaitFault(Ensure(requester, when));
-}
-
-void Profiler::OnObjectMove(Time when, const void* obj, NodeId src, NodeId dst, int64_t bytes) {
-  (void)src;
-  (void)bytes;
-  last_time_ = std::max(last_time_, when);
+void Builder::OnObjectMove(Time, const void* obj, NodeId, NodeId dst, int64_t) {
   const int id = ObjectId(obj);
   ++objects_[id].moves;
   objects_[id].home = dst;
 }
 
-void Profiler::OnMessage(Time depart, Time arrive, NodeId src, NodeId dst, int64_t bytes) {
-  last_time_ = std::max(last_time_, arrive);
-}
-
 // --- Extraction --------------------------------------------------------------------
 
-int Profiler::SegmentBefore(const ThreadSegs& st, Time t) const {
+int Builder::SegmentBefore(const ThreadSegs& st, Time t) {
   // Last segment with start < t (binary search over the sorted tiling).
   int lo = 0;
   int hi = static_cast<int>(st.segs.size());
@@ -291,51 +272,20 @@ int Profiler::SegmentBefore(const ThreadSegs& st, Time t) const {
   return lo - 1;
 }
 
-ProfileReport Profiler::Finalize() {
+ProfileReport Builder::Finalize(Time horizon) {
   ProfileReport r;
-  r.total_ns = last_time_;
-
-  // Close segments still open at the horizon (threads that never exited).
-  using RunState = amber::ThreadModel::RunState;
-  for (auto& [tid, st] : threads_) {
-    const amber::ThreadModel::Thread& m = model_->Get(tid);
-    switch (m.state) {
-      case RunState::kExited:
-        break;
-      case RunState::kRunning:
-        CloseSegment(st, last_time_, SegKind::kRunning, Cause::kNone, m.node);
-        break;
-      case RunState::kBlocked:
-        CloseBlocked(st, tid, last_time_, m.node, /*waker=*/0, /*wake_time=*/0);
-        break;
-      case RunState::kReady:
-        CloseSegment(st, last_time_, SegKind::kQueued, Cause::kNone, m.node);
-        break;
-    }
-  }
+  r.total_ns = horizon;
 
   // Aggregates.
-  for (size_t i = 0; i < objects_.size(); ++i) {
-    const ObjectAgg& a = objects_[i];
-    ObjectProfile o;
-    o.id = static_cast<int>(i);
-    o.label = a.label.empty() ? "obj-" + std::to_string(i) : a.label;
-    o.home = a.home;
-    o.moves = a.moves;
-    o.invocations = a.invocations;
-    o.remote_invocations = a.remote_invocations;
-    o.calls_by_origin = a.calls_by_origin;
-    o.overhead_by_origin = a.overhead_by_origin;
-    r.objects.push_back(std::move(o));
+  for (ObjectProfile& o : objects_) {
+    if (o.label.empty()) {
+      o.label = "obj-" + std::to_string(o.id);  // moved, never invoked
+    }
   }
-  for (const auto& [id, l] : locks_) {
-    LockProfile lp;
-    lp.id = id;
-    lp.acquisitions = l.acquisitions;
-    lp.wait_ns = l.wait_ns;
-    lp.hold_ns = l.hold_ns;
-    lp.max_wait_ns = l.max_wait_ns;
-    r.locks.push_back(std::move(lp));
+  r.objects = std::move(objects_);
+  for (auto& [id, l] : locks_) {
+    l.id = id;
+    r.locks.push_back(l);
   }
 
   // Choose the walk's starting point: the thread whose exit is latest (tie:
@@ -353,14 +303,8 @@ ProfileReport Profiler::Finalize() {
       start = tid;
     }
   }
-  if (start == 0) {
-    Time best = -1;
-    for (const auto& [tid, st] : threads_) {
-      if (st.cursor > best) {
-        best = st.cursor;
-        start = tid;
-      }
-    }
+  if (start == 0 && !threads_.empty()) {
+    start = threads_.begin()->first;  // nothing exited: the lowest thread id
   }
   if (start == 0 || r.total_ns == 0) {
     return r;
@@ -396,18 +340,13 @@ ProfileReport Profiler::Finalize() {
     }
     const bool forced = stall > kStallLimit;  // cycle guard: stop jumping
 
-    const auto it = threads_.find(t);
-    if (it == threads_.end()) {
-      attribute("rpc.net", 0);
-      break;
-    }
-    const ThreadSegs& st = it->second;
+    const ThreadSegs& st = SegsOf(t);
     const int si = SegmentBefore(st, cursor);
     if (si < 0) {
       // At or before this thread's creation: follow the creation edge (the
       // parent was running CreateThread at this instant).
-      const ThreadId parent = model_->Get(t).parent;
-      if (parent != 0 && threads_.count(parent) != 0 && !forced) {
+      const ThreadId parent = model_.Get(t).parent;
+      if (parent != 0 && model_.Get(parent).seen && !forced) {
         t = parent;
         continue;
       }
@@ -450,10 +389,9 @@ ProfileReport Profiler::Finalize() {
             // Jump to the thread that caused the wake, at the time it called
             // Wake; the remainder (wake -> unblock delivery) is scheduler
             // latency on the sleeper's node.
-            const auto wit = threads_.find(seg.other);
             const Time jump = std::max(seg.start, std::min(seg.wake_time, cursor));
-            const bool can_jump = !forced && jump > 0 && wit != threads_.end() &&
-                                  SegmentBefore(wit->second, jump) >= 0;
+            const bool can_jump =
+                !forced && jump > 0 && SegmentBefore(SegsOf(seg.other), jump) >= 0;
             if (can_jump) {
               attribute(NodeCat("queue.node", seg.node), jump);
               t = seg.other;
@@ -579,26 +517,39 @@ ProfileReport Profiler::Finalize() {
   return r;
 }
 
-void Profiler::Reset() {
-  model_.reset();
-  threads_.clear();
-  obj_ids_.clear();
-  objects_.clear();
-  locks_.clear();
-  last_time_ = 0;
-  exit_counter_ = 0;
+}  // namespace
+
+ProfileReport Profile(const fdr::Recorder& log) {
+  AMBER_CHECK(log.dropped() == 0)
+      << ": prof::Profile needs the whole run, but the log dropped " << log.dropped()
+      << " records (ring_capacity " << log.config().ring_capacity
+      << "); profile a recorder with ring_capacity = SIZE_MAX";
+  ThreadModel model;
+  Builder builder(model);
+  model.AddTiler(&builder);
+  log.Replay(builder, model);
+  // The run's last instant: the latest event, message arrival or reply.
+  Time horizon = 0;
+  for (const fdr::Recorder::Record* r : log.Merged()) {
+    const Time arrival = r->type == fdr::EventType::kMessage       ? r->b
+                         : r->type == fdr::EventType::kRpcResponse ? r->c
+                                                                   : 0;
+    horizon = std::max({horizon, r->when, arrival});
+  }
+  model.EndAllSegments(horizon);  // threads that never exited
+  return builder.Finalize(horizon);
 }
 
 // --- Report rendering --------------------------------------------------------------
 
 void ProfileReport::WriteJson(std::ostream& out) const {
-  out << "{\n  \"profile\": \"" << Escape(name) << "\",\n";
+  out << "{\n  \"profile\": \"" << JsonEscape(name) << "\",\n";
   out << "  \"total_ns\": " << total_ns << ",\n";
 
   out << "  \"breakdown\": {";
   bool first = true;
   for (const auto& [k, v] : breakdown) {
-    out << (first ? "\n" : ",\n") << "    \"" << Escape(k) << "\": " << v;
+    out << (first ? "\n" : ",\n") << "    \"" << JsonEscape(k) << "\": " << v;
     first = false;
   }
   out << (breakdown.empty() ? "" : "\n  ") << "},\n";
@@ -606,7 +557,7 @@ void ProfileReport::WriteJson(std::ostream& out) const {
   out << "  \"critical_path\": [";
   first = true;
   for (const PathStep& s : critical_path) {
-    out << (first ? "\n" : ",\n") << "    {\"category\": \"" << Escape(s.category)
+    out << (first ? "\n" : ",\n") << "    {\"category\": \"" << JsonEscape(s.category)
         << "\", \"ns\": " << s.ns << "}";
     first = false;
   }
@@ -616,7 +567,7 @@ void ProfileReport::WriteJson(std::ostream& out) const {
   first = true;
   for (const ObjectProfile& o : objects) {
     out << (first ? "\n" : ",\n") << "    {\"id\": " << o.id << ", \"label\": \""
-        << Escape(o.label) << "\", \"home\": " << o.home << ", \"moves\": " << o.moves
+        << JsonEscape(o.label) << "\", \"home\": " << o.home << ", \"moves\": " << o.moves
         << ", \"invocations\": " << o.invocations
         << ", \"remote_invocations\": " << o.remote_invocations;
     out << ", \"calls_by_origin\": {";
@@ -651,11 +602,11 @@ void ProfileReport::WriteJson(std::ostream& out) const {
   first = true;
   for (const Advice& a : advice) {
     out << (first ? "\n" : ",\n") << "    {\"kind\": \"" << a.kind
-        << "\", \"target\": " << a.target << ", \"label\": \"" << Escape(a.label) << "\"";
+        << "\", \"target\": " << a.target << ", \"label\": \"" << JsonEscape(a.label) << "\"";
     if (a.kind == "move") {
       out << ", \"from\": " << a.from << ", \"to\": " << a.to;
     }
-    out << ", \"est_saving_ns\": " << a.est_saving_ns << ", \"text\": \"" << Escape(a.text)
+    out << ", \"est_saving_ns\": " << a.est_saving_ns << ", \"text\": \"" << JsonEscape(a.text)
         << "\"}";
     first = false;
   }

@@ -1,18 +1,18 @@
 // Causal critical-path profiler and object placement advisor.
 //
-// The profiler subscribes to the amber::RuntimeObserver event bus and
-// incrementally builds the run's blocking-dependency graph: every thread's
-// lifetime is tiled into segments — runnable-but-queued, running, or blocked
-// with a *cause* (waiting for a lock held elsewhere, waiting for an RPC
-// served by node N including retry/timeout episodes, in migration transit,
-// fault-induced backoff, or a generic wake by another thread). Causes are
-// resolved from the runtime's shared amber::ThreadModel — the cause markers
-// armed before each block plus the waker identity carried on
-// OnThreadUnblock — by a priority rule: join, then lock, migration,
-// backoff, rpc, waker (CloseBlocked).
+// The profile is a function of a flight recorder's log (src/fdr): Profile()
+// replays the log's records, in seq order, through a fresh amber::ThreadModel
+// and rebuilds the run's blocking-dependency graph. The model tiles every
+// thread's lifetime into segments — runnable-but-queued, running, or
+// blocked — and the profiler names each blocked segment's *cause* (waiting
+// for a lock held elsewhere, waiting for an RPC served by node N including
+// retry/timeout episodes, in migration transit, fault-induced backoff, or a
+// generic wake by another thread) from the markers armed before the block
+// plus the waker carried on the unblock, by a priority rule: join, then
+// lock, migration, backoff, rpc, waker.
 //
-// Finalize() extracts the virtual-time critical path: a backward walk from
-// the last thread exit that, at every blocked segment, either attributes the
+// It then extracts the virtual-time critical path: a backward walk from the
+// last thread exit that, at every blocked segment, either attributes the
 // wait in place (lock contention, RPC service, migration transit, fault
 // backoff) or jumps to the thread that caused the wake (join targets,
 // condition/barrier signalers) at the wake time. Every nanosecond of the
@@ -38,28 +38,29 @@
 //
 // Determinism: all aggregation is keyed by dense ids (thread ids, first-seen
 // object order, lock ids) and all report values are integer nanoseconds, so
-// WriteJson output is byte-identical across identical runs. Attach with
-// Runtime::AddObserver(&profiler) — alongside a tracer if desired — before
-// Run(), and call Finalize() after.
+// WriteJson output is byte-identical across identical runs.
+//
+// Usage: attach a recorder that keeps the whole run before Run(), profile
+// it after.
+//   fdr::Recorder log({.name = "run", .ring_capacity = SIZE_MAX});
+//   rt.AddObserver(&log);
+//   rt.Run(...);
+//   prof::ProfileReport report = prof::Profile(log);
 
 #ifndef AMBER_SRC_PROF_PROFILER_H_
 #define AMBER_SRC_PROF_PROFILER_H_
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
 
-#include "src/core/runtime.h"
-#include "src/core/thread_model.h"
+#include "src/fdr/fdr.h"
 
 namespace prof {
 
-using amber::Duration;
 using amber::NodeId;
-using amber::ThreadId;
 using amber::Time;
 
 // One attributed stretch of the critical path (adjacent equal categories are
@@ -83,7 +84,7 @@ struct ObjectProfile {
   std::map<NodeId, Time> overhead_by_origin;
 };
 
-// Per-lock contention totals; critical_path_ns is filled by Finalize().
+// Per-lock contention totals, with the lock's share of the critical path.
 struct LockProfile {
   int id = 0;
   int64_t acquisitions = 0;
@@ -123,124 +124,10 @@ struct ProfileReport {
   void WriteSummary(std::ostream& out) const;
 };
 
-class Profiler : public amber::RuntimeObserver {
- public:
-  // --- RuntimeObserver --------------------------------------------------------
-  void OnThreadCreate(Time when, NodeId node, ThreadId thread, const std::string& name,
-                      ThreadId parent) override;
-  void OnThreadDispatch(Time when, NodeId node, ThreadId thread, Duration queue_wait) override;
-  void OnThreadBlock(Time when, NodeId node, ThreadId thread) override;
-  void OnThreadUnblock(Time when, NodeId node, ThreadId thread, ThreadId waker,
-                       Time wake_time) override;
-  void OnThreadPreempt(Time when, NodeId node, ThreadId thread) override;
-  void OnThreadExit(Time when, NodeId node, ThreadId thread) override;
-  void OnThreadMigrate(Time when, NodeId src, NodeId dst, ThreadId thread,
-                       int64_t bytes) override;
-
-  void OnInvokeEnter(Time when, NodeId node, ThreadId thread, const void* obj,
-                     const std::string& object, bool remote, NodeId origin,
-                     Duration entry_overhead) override;
-  void OnInvokeExit(Time when, NodeId node, ThreadId thread, Duration span, bool remote,
-                    Duration exit_overhead) override;
-
-  void OnLockAcquired(Time when, NodeId node, ThreadId thread, int lock, Duration wait) override;
-  void OnLockReleased(Time when, NodeId node, ThreadId thread, int lock, Duration held) override;
-
-  void OnRpcRequest(Time depart, NodeId src, NodeId dst, int64_t bytes, uint64_t id,
-                    ThreadId requester) override;
-  void OnRpcResponse(Time when, Time reply_arrive, NodeId src, NodeId dst, int64_t bytes,
-                     uint64_t id) override;
-  void OnRpcRetry(Time when, NodeId src, NodeId dst, uint64_t id, int attempt,
-                  ThreadId requester) override;
-  void OnRpcTimeout(Time when, NodeId src, NodeId dst, uint64_t id, int attempts,
-                    ThreadId requester) override;
-
-  void OnObjectMove(Time when, const void* obj, NodeId src, NodeId dst, int64_t bytes) override;
-  void OnMessage(Time depart, Time arrive, NodeId src, NodeId dst, int64_t bytes) override;
-
-  // --- Extraction -------------------------------------------------------------
-
-  // Closes open segments, walks the dependency graph backward from the last
-  // exit, and builds the report. Call once, after Runtime::Run() returns.
-  ProfileReport Finalize();
-
-  // Forgets everything recorded so far (for back-to-back runs).
-  void Reset();
-
- private:
-  enum class SegKind : uint8_t { kQueued, kRunning, kBlocked };
-  enum class Cause : uint8_t {
-    kNone,
-    kLock,
-    kRpc,
-    kJoin,
-    kMigration,
-    kFault,
-    kWake,
-    kNet,
-    kRecovery,
-  };
-
-  struct Segment {
-    Time start = 0;
-    Time end = 0;
-    SegKind kind = SegKind::kQueued;
-    Cause cause = Cause::kNone;
-    NodeId node = 0;
-    int aux = 0;         // lock id (kLock) or serving node (kRpc)
-    ThreadId other = 0;  // join target (kJoin) or waker (kWake)
-    Time wake_time = 0;  // when the waker called Wake (kWake / kJoin)
-  };
-
-  // A thread's tiling; its status, markers and frames live in the model.
-  struct ThreadSegs {
-    Time exit_time = 0;
-    int64_t exit_seq = -1;  // -1: has not exited
-    Time cursor = 0;  // start of the currently open segment
-    std::vector<Segment> segs;
-    int last_blocked = -1;  // index of the most recently closed blocked seg
-  };
-
-  struct ObjectAgg {
-    std::string label;
-    NodeId home = 0;
-    int64_t moves = 0;
-    int64_t invocations = 0;
-    int64_t remote_invocations = 0;
-    std::map<NodeId, int64_t> calls_by_origin;
-    std::map<NodeId, Time> overhead_by_origin;
-  };
-
-  struct LockAgg {
-    int64_t acquisitions = 0;
-    Time wait_ns = 0;
-    Time hold_ns = 0;
-    Time max_wait_ns = 0;
-  };
-
-  // Also fetches the model from the running runtime with the first thread
-  // and keeps it, so Finalize can read it after the runtime is gone.
-  ThreadSegs& Ensure(ThreadId tid, Time when);
-  void CloseSegment(ThreadSegs& st, Time when, SegKind kind, Cause cause, NodeId node,
-                    int aux = 0, ThreadId other = 0, Time wake_time = 0);
-  // Resolves the cause of a block that ends at `when` from the model.
-  void CloseBlocked(ThreadSegs& st, ThreadId tid, Time when, NodeId node, ThreadId waker,
-                    Time wake_time);
-  // Reclassifies the block that just ended as fault-induced (a timeout).
-  void MarkLastWaitFault(ThreadSegs& st);
-  int ObjectId(const void* obj);
-  // Index of the segment containing t (start < t <= end), or the last
-  // segment before t (gap), or -1 if t is at/before the first segment.
-  int SegmentBefore(const ThreadSegs& st, Time t) const;
-
-  std::shared_ptr<const amber::ThreadModel> model_;
-  std::map<ThreadId, ThreadSegs> threads_;
-  std::map<const void*, int> obj_ids_;
-  std::vector<ObjectAgg> objects_;      // by dense id
-  std::map<int, LockAgg> locks_;        // by lock id
-  Time last_time_ = 0;
-  int64_t exit_counter_ = 0;
-};
+// Replays `log` and builds the report (name left empty for the caller).
+// Panics if the log dropped records: a profile of a partial run would be
+// silently wrong.
+ProfileReport Profile(const fdr::Recorder& log);
 
 }  // namespace prof
 

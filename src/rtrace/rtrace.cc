@@ -2,21 +2,11 @@
 
 #include <algorithm>
 
+#include "src/base/json.h"
 #include "src/rpc/wire.h"
 
 namespace rtrace {
 namespace {
-
-void EscapeJson(std::ostream& out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out << '\\';
-    }
-    if (static_cast<unsigned char>(c) >= 0x20) {
-      out << c;
-    }
-  }
-}
 
 // Every completed trace carries all categories (zero included), so dumps
 // diff cleanly and consumers need no key-existence checks.
@@ -164,18 +154,16 @@ Span* Tracer::FindSpan(Trace& trace, uint64_t span_id) {
   return nullptr;
 }
 
-void Tracer::CloseSegment(ThreadCtx& ctx, Time when, const char* category) {
-  Trace* t = TraceOf(ctx);
-  if (t != nullptr) {
-    // Consecutive segment deltas telescope, so the category sums equal
-    // end - start *exactly* no matter how the run interleaved.
-    t->attribution[category] += when - ctx.seg_start;
-  }
-  ctx.seg_start = when;
-}
-
-const char* Tracer::BlockedCategory(const amber::ThreadModel::Thread& t) {
+const char* Tracer::Category(amber::ThreadModel::RunState state,
+                             const amber::ThreadModel::Thread& t) {
   using Kind = amber::ThreadModel::Marker::Kind;
+  using RunState = amber::ThreadModel::RunState;
+  if (state == RunState::kReady) {
+    return "queue";
+  }
+  if (state == RunState::kRunning) {
+    return "compute";
+  }
   if (t.recovery > 0) {
     return "recovery";
   }
@@ -278,7 +266,6 @@ void Tracer::OnThreadCreate(Time when, NodeId node, ThreadId thread, const std::
     ThreadCtx& ctx = threads_[thread];
     ctx.trace_id = req.trace_id;
     ctx.is_root = true;
-    ctx.seg_start = when;
     Span root;
     root.id = next_span_id_++;
     root.kind = SpanKind::kRequest;
@@ -320,59 +307,27 @@ void Tracer::OnThreadDispatch(Time when, NodeId node, ThreadId thread, Duration 
     }
     ctx->open_migration_span = 0;
   }
-  if (ctx->is_root && model_->Get(thread).state == amber::ThreadModel::RunState::kReady) {
-    CloseSegment(*ctx, when, "queue");
-  }
 }
 
-void Tracer::OnThreadBlock(Time when, NodeId node, ThreadId thread) {
-  ThreadCtx* ctx = Ctx(thread);
-  if (ctx != nullptr && ctx->is_root) {
-    CloseSegment(*ctx, when, "compute");
-  }
-}
-
-void Tracer::OnThreadUnblock(Time when, NodeId node, ThreadId thread, ThreadId waker,
-                             Time wake_time) {
-  ThreadCtx* ctx = Ctx(thread);
+void Tracer::OnSegment(const amber::ThreadModel::Segment& seg,
+                       const amber::ThreadModel::Thread& t) {
+  ThreadCtx* ctx = Ctx(seg.thread);
   if (ctx == nullptr || !ctx->is_root) {
     return;
   }
-  const amber::ThreadModel::Thread& t = model_->Get(thread);
-  if (t.state == amber::ThreadModel::RunState::kBlocked) {
-    CloseSegment(*ctx, when, BlockedCategory(t));
-  }
-}
-
-void Tracer::OnThreadPreempt(Time when, NodeId node, ThreadId thread) {
-  ThreadCtx* ctx = Ctx(thread);
-  if (ctx != nullptr && ctx->is_root &&
-      model_->Get(thread).state == amber::ThreadModel::RunState::kRunning) {
-    CloseSegment(*ctx, when, "compute");
+  if (Trace* trace = TraceOf(*ctx)) {
+    // The model's segments tile the root's lifetime, so the category sums
+    // equal end - start *exactly* no matter how the run interleaved.
+    trace->attribution[Category(seg.state, t)] += seg.end - seg.start;
   }
 }
 
 void Tracer::OnThreadExit(Time when, NodeId node, ThreadId thread) {
-  using RunState = amber::ThreadModel::RunState;
   ThreadCtx* ctx = Ctx(thread);
   if (ctx == nullptr) {
     return;
   }
   if (ctx->is_root) {
-    const amber::ThreadModel::Thread& t = model_->Get(thread);
-    switch (t.state) {
-      case RunState::kRunning:
-        CloseSegment(*ctx, when, "compute");
-        break;
-      case RunState::kReady:
-        CloseSegment(*ctx, when, "queue");
-        break;
-      case RunState::kBlocked:
-        CloseSegment(*ctx, when, BlockedCategory(t));
-        break;
-      case RunState::kExited:
-        break;
-    }
     FinishTrace(*ctx, when);
   } else {
     // Close the child's leftover open spans so the dump has no dangling
@@ -536,9 +491,7 @@ void Tracer::OnRecoveryEnd(Time when, NodeId node, ThreadId thread, const void* 
 
 void Tracer::WriteJson(std::ostream& out) const {
   out << "{\n";
-  out << "  \"rtrace\": \"";
-  EscapeJson(out, config_.name);
-  out << "\",\n";
+  out << "  \"rtrace\": " << amber::JsonQuote(config_.name) << ",\n";
   out << "  \"schema\": 1,\n";
   out << "  \"sample_every\": " << config_.sample_every << ",\n";
   out << "  \"requests_seen\": " << requests_seen_ << ",\n";
@@ -554,9 +507,8 @@ void Tracer::WriteJson(std::ostream& out) const {
     }
     out << (first_trace ? "\n" : ",\n");
     first_trace = false;
-    out << "    {\"trace_id\": " << t.trace_id << ", \"name\": \"";
-    EscapeJson(out, t.name);
-    out << "\", \"root_thread\": " << t.root_thread << ", \"start_ns\": " << t.start
+    out << "    {\"trace_id\": " << t.trace_id << ", \"name\": " << amber::JsonQuote(t.name)
+        << ", \"root_thread\": " << t.root_thread << ", \"start_ns\": " << t.start
         << ", \"end_ns\": " << t.end << ", \"latency_ns\": " << t.latency()
         << ", \"hops\": " << t.hops << ",\n     \"attribution\": {";
     bool first_cat = true;
@@ -571,9 +523,9 @@ void Tracer::WriteJson(std::ostream& out) const {
       first_span = false;
       out << "       {\"id\": " << s.id << ", \"parent\": " << s.parent << ", \"kind\": \""
           << SpanKindName(s.kind) << "\", \"start_ns\": " << s.start << ", \"end_ns\": " << s.end
-          << ", \"node\": " << s.node << ", \"thread\": " << s.thread << ", \"label\": \"";
-      EscapeJson(out, s.label);
-      out << "\", \"aux\": " << s.aux << ", \"retries\": " << s.retries
+          << ", \"node\": " << s.node << ", \"thread\": " << s.thread
+          << ", \"label\": " << amber::JsonQuote(s.label) << ", \"aux\": " << s.aux
+          << ", \"retries\": " << s.retries
           << ", \"failed\": " << (s.failed ? "true" : "false") << "}";
     }
     out << (first_span ? "]}" : "\n     ]}");

@@ -27,15 +27,15 @@
 //     span, nested invoke spans, RPC roundtrips (with retransmission
 //     counts; timeouts close the span failed), lock waits, thread
 //     migrations, failure backoffs and recovery episodes.
-//   * The root thread's lifetime is tiled into *exact* virtual-time
-//     attribution: every nanosecond between thread creation and thread
-//     exit lands in exactly one of {queue, compute, rpc, retry, lock,
-//     migration, join, recovery, other}, driven by the scheduler's
-//     dispatch/block/unblock/preempt events. A block is named by the last
-//     cause marker armed before it in the runtime's amber::ThreadModel
-//     (backoffs and rpc retransmissions both count as "retry"). The
-//     category sums equal the request's end-to-end latency by
-//     construction — amber-tail asserts it when rendering.
+//   * The root thread's lifetime is *exact* virtual-time attribution:
+//     every nanosecond between thread creation and thread exit lands in
+//     exactly one of {queue, compute, rpc, retry, lock, migration, join,
+//     recovery, other}. The runtime's amber::ThreadModel cuts the lifetime
+//     into segments; the tracer, a ThreadModel::Tiler, only names each one:
+//     ready is "queue", running "compute", and a block is named by the last
+//     cause marker armed before it (backoffs and rpc retransmissions both
+//     count as "retry"). The category sums equal the request's end-to-end
+//     latency by construction — amber-tail asserts it when rendering.
 //
 // Pair with metrics exemplars: record request latency via
 // Histogram::Record(latency, tracer.CurrentTraceId()) and the histogram's
@@ -155,15 +155,18 @@ struct TraceConfig {
   bool wire_baggage = false;
 };
 
-class Tracer : public amber::RuntimeObserver, public rpc::TraceHook {
+class Tracer : public amber::RuntimeObserver,
+               public rpc::TraceHook,
+               public amber::ThreadModel::Tiler {
  public:
   explicit Tracer(TraceConfig config = {});
 
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  // Joins the runtime's observer fan-out and installs the transport trace
-  // hook. Call before Run(); the tracer must outlive the runtime.
+  // Joins the runtime's observer fan-out (and so its thread model's tiling)
+  // and installs the transport trace hook. Call before Run(); the tracer
+  // must outlive the runtime.
   void AttachTo(amber::Runtime& rt);
 
   // Declares the *next thread created by the calling thread* a request
@@ -200,14 +203,14 @@ class Tracer : public amber::RuntimeObserver, public rpc::TraceHook {
   std::vector<uint8_t> ContextFrame(uint64_t requester, NodeId src, NodeId dst) override;
   void OnContextArrive(Time when, NodeId node, const std::vector<uint8_t>& frame) override;
 
+  // --- amber::ThreadModel::Tiler: a root thread's attribution ---------------
+  void OnSegment(const amber::ThreadModel::Segment& seg,
+                 const amber::ThreadModel::Thread& t) override;
+
   // --- amber::RuntimeObserver -------------------------------------------------
   void OnThreadCreate(Time when, NodeId node, ThreadId thread, const std::string& name,
                       ThreadId parent) override;
   void OnThreadDispatch(Time when, NodeId node, ThreadId thread, Duration queue_wait) override;
-  void OnThreadBlock(Time when, NodeId node, ThreadId thread) override;
-  void OnThreadUnblock(Time when, NodeId node, ThreadId thread, ThreadId waker,
-                       Time wake_time) override;
-  void OnThreadPreempt(Time when, NodeId node, ThreadId thread) override;
   void OnThreadExit(Time when, NodeId node, ThreadId thread) override;
   void OnThreadMigrate(Time when, NodeId src, NodeId dst, ThreadId thread,
                        int64_t bytes) override;
@@ -230,13 +233,12 @@ class Tracer : public amber::RuntimeObserver, public rpc::TraceHook {
   void OnRecoveryEnd(Time when, NodeId node, ThreadId thread, const void* obj, bool ok) override;
 
  private:
-  // A traced thread's spans; the root also tiles its lifetime. Its run
-  // state and cause markers live in the runtime's thread model.
+  // A traced thread's spans; the root's segments are also attributed. Its
+  // run state and cause markers live in the runtime's thread model.
   struct ThreadCtx {
     uint64_t trace_id = 0;
     bool is_root = false;
     std::vector<uint64_t> span_stack;  // open invoke spans; [0] = base span
-    Time seg_start = 0;                // root: start of the open attribution segment
     uint64_t open_migration_span = 0;  // close at the next dispatch
     uint64_t open_recovery_span = 0;
   };
@@ -252,11 +254,10 @@ class Tracer : public amber::RuntimeObserver, public rpc::TraceHook {
   uint64_t AddSpan(ThreadCtx& ctx, SpanKind kind, Time start, Time end, NodeId node,
                    ThreadId thread, const std::string& label, int64_t aux, uint64_t parent = 0);
   Span* FindSpan(Trace& trace, uint64_t span_id);
-  // Closes the root thread's current attribution segment at `when` under
-  // `category` and opens the next one.
-  void CloseSegment(ThreadCtx& ctx, Time when, const char* category);
-  // Names a block: recovery, else the last marker armed before it.
-  static const char* BlockedCategory(const amber::ThreadModel::Thread& t);
+  // Names a segment: queue, compute, or for a block recovery, else the last
+  // marker armed before it.
+  static const char* Category(amber::ThreadModel::RunState state,
+                              const amber::ThreadModel::Thread& t);
   void FinishTrace(ThreadCtx& ctx, Time when);
   void EvictIfOverCapacity();
 

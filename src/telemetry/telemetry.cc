@@ -5,6 +5,8 @@
 #include <limits>
 #include <sstream>
 
+#include "src/base/json.h"
+
 #if defined(__GLIBC__) && defined(__GLIBC_PREREQ)
 #if __GLIBC_PREREQ(2, 33)
 #include <malloc.h>
@@ -24,13 +26,6 @@ int64_t HeapInUseBytes() {
 #else
   return -1;
 #endif
-}
-
-// Deterministic double rendering for the few non-integral JSON values.
-std::string Num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
 }
 
 }  // namespace
@@ -192,7 +187,7 @@ void SelfProfiler::WriteJson(std::ostream& out, bool scrub_wall) const {
         << ", \"heap_bytes\": " << wall(s.heap_bytes) << "}";
   }
   out << (samples.empty() ? "" : "\n  ") << "],\n";
-  out << "  \"totals\": {\"events_per_sec\": " << (scrub_wall ? "0" : Num(EventsPerSec()))
+  out << "  \"totals\": {\"events_per_sec\": " << (scrub_wall ? "0" : amber::JsonNumber(EventsPerSec()))
       << "}\n";
   out << "}\n";
 }
@@ -212,7 +207,7 @@ void SelfProfiler::WriteOpenMetrics(std::ostream& out) const {
   for (int b = 0; b < kBucketCount; ++b) {
     out << "amber_selfprof_bucket_wall_seconds_total{bucket=\""
         << BucketName(static_cast<Bucket>(b)) << "\"} "
-        << Num(static_cast<double>(bucket_wall_ns(static_cast<Bucket>(b))) / 1e9) << "\n";
+        << amber::JsonNumber(static_cast<double>(bucket_wall_ns(static_cast<Bucket>(b))) / 1e9) << "\n";
   }
   out << "# TYPE amber_selfprof_node_dispatches_total counter\n";
   for (size_t n = 0; n < node_dispatches_.size(); ++n) {
@@ -221,9 +216,9 @@ void SelfProfiler::WriteOpenMetrics(std::ostream& out) const {
   }
   out << "# TYPE amber_selfprof_enabled_wall_seconds gauge\n";
   out << "amber_selfprof_enabled_wall_seconds "
-      << Num(static_cast<double>(EnabledWallNs()) / 1e9) << "\n";
+      << amber::JsonNumber(static_cast<double>(EnabledWallNs()) / 1e9) << "\n";
   out << "# TYPE amber_selfprof_events_per_second gauge\n";
-  out << "amber_selfprof_events_per_second " << Num(EventsPerSec()) << "\n";
+  out << "amber_selfprof_events_per_second " << amber::JsonNumber(EventsPerSec()) << "\n";
   out << "# EOF\n";
 }
 

@@ -1,41 +1,17 @@
 #include "src/tseries/tseries.h"
 
-#include <cinttypes>
-#include <cmath>
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 
+#include "src/base/json.h"
+
 namespace tseries {
+
+using amber::JsonNumber;
+using amber::JsonQuote;
+
 namespace {
-
-// JSON number rendering, same contract as the metrics registry: integral
-// values print exactly, everything else %.9g — deterministic functions of
-// the value's bit pattern.
-std::string Num(double v) {
-  char buf[40];
-  if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 9.0e15) {
-    std::snprintf(buf, sizeof(buf), "%" PRId64, static_cast<int64_t>(v));
-  } else if (std::isfinite(v)) {
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-  } else {
-    std::snprintf(buf, sizeof(buf), "0");  // JSON has no inf/nan
-  }
-  return buf;
-}
-
-std::string Quote(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-    }
-    if (static_cast<unsigned char>(c) >= 0x20) {
-      out.push_back(c);
-    }
-  }
-  out.push_back('"');
-  return out;
-}
 
 std::string SeriesKey(const std::string& name, const std::string& label) {
   return label == "total" ? name : name + "/" + label;
@@ -279,12 +255,12 @@ metrics::IntervalSummary Collector::AggregateHistogram(size_t hist_series, size_
 }
 
 void Collector::WriteJson(std::ostream& out) const {
-  out << "{\n  \"tseries\": " << Quote(config_.name) << ",\n  \"window_ns\": " << config_.window_ns
+  out << "{\n  \"tseries\": " << JsonQuote(config_.name) << ",\n  \"window_ns\": " << config_.window_ns
       << ",\n  \"first_window\": " << (frames_.empty() ? 0 : frames_.front().index)
       << ",\n  \"windows\": " << frames_.size() << ",\n  \"dropped_frames\": " << dropped_frames_
       << ",\n  \"series\": {\n    \"counters\": {";
   for (size_t i = 0; i < counters_.size(); ++i) {
-    out << (i == 0 ? "\n" : ",\n") << "      " << Quote(counters_[i].name) << ": [";
+    out << (i == 0 ? "\n" : ",\n") << "      " << JsonQuote(counters_[i].name) << ": [";
     bool first = true;
     for (const Frame& f : frames_) {
       out << (first ? "" : ", ") << f.counter_deltas[i];
@@ -295,10 +271,10 @@ void Collector::WriteJson(std::ostream& out) const {
   out << (counters_.empty() ? "" : "\n    ") << "},\n    \"gauges\": {";
   for (size_t i = 0; i < gauges_.size(); ++i) {
     out << (i == 0 ? "\n" : ",\n") << "      "
-        << Quote(SeriesKey(gauges_[i].name, gauges_[i].label)) << ": [";
+        << JsonQuote(SeriesKey(gauges_[i].name, gauges_[i].label)) << ": [";
     bool first = true;
     for (const Frame& f : frames_) {
-      out << (first ? "" : ", ") << Num(f.gauge_values[i]);
+      out << (first ? "" : ", ") << JsonNumber(f.gauge_values[i]);
       first = false;
     }
     out << "]";
@@ -306,7 +282,7 @@ void Collector::WriteJson(std::ostream& out) const {
   out << (gauges_.empty() ? "" : "\n    ") << "},\n    \"histograms\": {";
   for (size_t i = 0; i < hists_.size(); ++i) {
     out << (i == 0 ? "\n" : ",\n") << "      "
-        << Quote(SeriesKey(hists_[i].name, hists_[i].label)) << ": {";
+        << JsonQuote(SeriesKey(hists_[i].name, hists_[i].label)) << ": {";
     const char* fields[] = {"count", "sum", "p50", "p99", "p999"};
     for (size_t fi = 0; fi < 5; ++fi) {
       out << (fi == 0 ? "\n" : ",\n") << "        \"" << fields[fi] << "\": [";
@@ -318,7 +294,7 @@ void Collector::WriteJson(std::ostream& out) const {
                          : fi == 2 ? s.p50
                          : fi == 3 ? s.p99
                                    : s.p999;
-        out << (first ? "" : ", ") << Num(v);
+        out << (first ? "" : ", ") << JsonNumber(v);
         first = false;
       }
       out << "]";
@@ -328,8 +304,8 @@ void Collector::WriteJson(std::ostream& out) const {
   out << (hists_.empty() ? "" : "\n    ") << "}\n  },\n  \"annotations\": [";
   for (size_t i = 0; i < annotations_.size(); ++i) {
     out << (i == 0 ? "\n" : ",\n") << "    {\"t_ns\": " << annotations_[i].when
-        << ", \"kind\": " << Quote(annotations_[i].kind)
-        << ", \"detail\": " << Quote(annotations_[i].detail) << "}";
+        << ", \"kind\": " << JsonQuote(annotations_[i].kind)
+        << ", \"detail\": " << JsonQuote(annotations_[i].detail) << "}";
   }
   out << (annotations_.empty() ? "" : "\n  ")
       << "],\n  \"dropped_annotations\": " << dropped_annotations_ << "\n}\n";

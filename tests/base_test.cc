@@ -6,6 +6,7 @@
 #include <cmath>
 #include <set>
 
+#include "src/base/json.h"
 #include "src/base/logging.h"
 #include "src/base/panic.h"
 #include "src/base/rng.h"
@@ -188,6 +189,25 @@ TEST(TimeTest, UnitConversions) {
   EXPECT_DOUBLE_EQ(ToMillis(kSecond), 1000.0);
   EXPECT_DOUBLE_EQ(ToMicros(kMillisecond), 1000.0);
   EXPECT_DOUBLE_EQ(ToSeconds(kSecond), 1.0);
+}
+
+TEST(JsonTest, EscapesQuotesBackslashesAndControlCharacters) {
+  EXPECT_EQ(JsonEscape("plain"), "plain");
+  EXPECT_EQ(JsonEscape("say \"hi\""), "say \\\"hi\\\"");
+  EXPECT_EQ(JsonEscape("a\\b"), "a\\\\b");
+  EXPECT_EQ(JsonEscape("l1\nl2\tx\r"), "l1\\nl2\\tx\\r");
+  EXPECT_EQ(JsonEscape(std::string("x\x01y")), "x\\u0001y");
+  EXPECT_EQ(JsonQuote("q\"\x01"), "\"q\\\"\\u0001\"");
+}
+
+TEST(JsonTest, NumbersAreExactWhenIntegral) {
+  EXPECT_EQ(JsonNumber(0), "0");
+  EXPECT_EQ(JsonNumber(-42), "-42");
+  EXPECT_EQ(JsonNumber(1234567890123.0), "1234567890123");
+  EXPECT_EQ(JsonNumber(0.5), "0.5");
+  EXPECT_EQ(JsonNumber(1.0 / 3.0), "0.333333333");
+  EXPECT_EQ(JsonNumber(std::nan("")), "0");
+  EXPECT_EQ(JsonNumber(HUGE_VAL), "0");
 }
 
 TEST(LoggingTest, LevelGatesOutput) {

@@ -56,10 +56,10 @@ class Driver : public Object {
 
 // The bench_hotspot workload: a counter born on node 0 (a few local warmup
 // calls defend it) that a driver on node 2 then hammers.
-Time RunHotspot(policy::PlacementPolicy* policy, prof::Profiler* profiler) {
+Time RunHotspot(policy::PlacementPolicy* policy, fdr::Recorder* log) {
   Runtime rt(TestConfig());
-  if (profiler != nullptr) {
-    rt.AddObserver(profiler);
+  if (log != nullptr) {
+    rt.AddObserver(log);
   }
   if (policy != nullptr) {
     policy->AttachTo(rt);
@@ -76,11 +76,11 @@ Time RunHotspot(policy::PlacementPolicy* policy, prof::Profiler* profiler) {
 }
 
 TEST(PolicyHotspotTest, OnlinePolicyRecoversTheAdvisorEstimate) {
-  // Off-run under the profiler: static placement, advisor estimate.
-  prof::Profiler profiler;
+  // Off-run profiled: static placement, advisor estimate.
+  fdr::Recorder log({.name = "hotspot", .ring_capacity = SIZE_MAX});
   policy::PlacementPolicy observer;  // default config: disabled
-  const Time off_end = RunHotspot(&observer, &profiler);
-  const prof::ProfileReport report = profiler.Finalize();
+  const Time off_end = RunHotspot(&observer, &log);
+  const prof::ProfileReport report = prof::Profile(log);
   Time advisor_saving = 0;
   for (const prof::Advice& a : report.advice) {
     if (a.kind == "move") {

@@ -1,9 +1,10 @@
-// Tests for the causal critical-path profiler (src/prof): exact closure of
-// the attribution (the breakdown sums to the end-to-end virtual time), cause
-// classification (lock convoys land on the right lock, fault-induced retry
-// waits land in the fault category), the placement advisor's hotspot
-// recommendation (and that applying it actually shortens the run), and
-// byte-determinism of the JSON report.
+// Tests for the causal critical-path profiler (src/prof), profiling whole-run
+// flight-recorder logs: exact closure of the attribution (the breakdown sums
+// to the end-to-end virtual time), cause classification (lock convoys land on
+// the right lock, fault-induced retry waits land in the fault category), the
+// placement advisor's hotspot recommendation (and that applying it actually
+// shortens the run), byte-determinism of the JSON report, and the refusal of
+// a log with drops.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 
 #include "src/core/amber.h"
 #include "src/fault/fault.h"
+#include "src/fdr/fdr.h"
 #include "src/prof/profiler.h"
 #include "src/rpc/transport.h"
 
@@ -67,6 +69,9 @@ class Driver : public Object {
   }
 };
 
+// Every test profiles a recorder that keeps the whole run.
+const fdr::Config kWholeRun{.name = "prof_test", .ring_capacity = SIZE_MAX};
+
 Time Sum(const std::map<std::string, Time>& breakdown) {
   Time sum = 0;
   for (const auto& [cat, ns] : breakdown) {
@@ -83,8 +88,8 @@ TEST(ProfilerTest, SerialCriticalPathEqualsTotalVirtualTime) {
   config.procs_per_node = 1;
   config.arena_bytes = size_t{128} << 20;
   Runtime rt(config);
-  prof::Profiler profiler;
-  rt.AddObserver(&profiler);
+  fdr::Recorder log(kWholeRun);
+  rt.AddObserver(&log);
   const Time end = rt.Run([] {
     auto s = New<Spinner>();
     for (int i = 0; i < 20; ++i) {
@@ -92,7 +97,7 @@ TEST(ProfilerTest, SerialCriticalPathEqualsTotalVirtualTime) {
       Work(kMicrosecond * 30);
     }
   });
-  prof::ProfileReport report = profiler.Finalize();
+  prof::ProfileReport report = prof::Profile(log);
   EXPECT_EQ(report.total_ns, end);
   EXPECT_EQ(Sum(report.breakdown), report.total_ns);
   for (const auto& [cat, ns] : report.breakdown) {
@@ -113,8 +118,8 @@ TEST(ProfilerTest, BreakdownClosesExactlyOnParallelRun) {
   config.procs_per_node = 2;
   config.arena_bytes = size_t{256} << 20;
   Runtime rt(config);
-  prof::Profiler profiler;
-  rt.AddObserver(&profiler);
+  fdr::Recorder log(kWholeRun);
+  rt.AddObserver(&log);
   rt.Run([] {
     std::vector<Ref<Spinner>> spinners;
     for (NodeId n = 0; n < 4; ++n) {
@@ -131,7 +136,7 @@ TEST(ProfilerTest, BreakdownClosesExactlyOnParallelRun) {
       s.Call(&Spinner::Step);  // main migrates around the machine
     }
   });
-  prof::ProfileReport report = profiler.Finalize();
+  prof::ProfileReport report = prof::Profile(log);
   EXPECT_GT(report.total_ns, 0);
   EXPECT_EQ(Sum(report.breakdown), report.total_ns);
   EXPECT_FALSE(report.critical_path.empty());
@@ -152,8 +157,8 @@ TEST(ProfilerTest, LockConvoyAttributesContentionToTheLock) {
   config.procs_per_node = 2;
   config.arena_bytes = size_t{128} << 20;
   Runtime rt(config);
-  prof::Profiler profiler;
-  rt.AddObserver(&profiler);
+  fdr::Recorder log(kWholeRun);
+  rt.AddObserver(&log);
   rt.Run([] {
     auto g = New<Guarded>();
     auto t1 = StartThread(g, &Guarded::Update);
@@ -162,7 +167,7 @@ TEST(ProfilerTest, LockConvoyAttributesContentionToTheLock) {
     t2.Join();
     EXPECT_EQ(g.Call(&Guarded::value), 2);
   });
-  prof::ProfileReport report = profiler.Finalize();
+  prof::ProfileReport report = prof::Profile(log);
   EXPECT_EQ(Sum(report.breakdown), report.total_ns);
 
   // Exactly one lock saw contention: Guarded's member lock.
@@ -210,8 +215,8 @@ TEST(ProfilerTest, FaultRunAttributesRetryBackoffToFaultCategory) {
   policy.max_attempts = 3;
   rt.transport().SetRetryPolicy(policy);
   rt.SetFailureHandler([](const FailureEvent&) { return FailureAction::kRetry; });
-  prof::Profiler profiler;
-  rt.AddObserver(&profiler);
+  fdr::Recorder log(kWholeRun);
+  rt.AddObserver(&log);
   int final_value = 0;
   rt.Run([&] {
     auto c = New<Counter>();
@@ -222,7 +227,7 @@ TEST(ProfilerTest, FaultRunAttributesRetryBackoffToFaultCategory) {
   EXPECT_EQ(final_value, 1);
   EXPECT_EQ(injector.crashes(), 1);
 
-  prof::ProfileReport report = profiler.Finalize();
+  prof::ProfileReport report = prof::Profile(log);
   EXPECT_EQ(Sum(report.breakdown), report.total_ns);
   ASSERT_TRUE(report.breakdown.count("fault"))
       << "no fault-attributed time on the critical path";
@@ -242,8 +247,8 @@ TEST(ProfilerTest, AdvisorRecommendsMovingHotspotAndMoveHelps) {
     config.procs_per_node = 2;
     config.arena_bytes = size_t{128} << 20;
     Runtime rt(config);
-    prof::Profiler profiler;
-    rt.AddObserver(&profiler);
+    fdr::Recorder log(kWholeRun);
+    rt.AddObserver(&log);
     const Time end = rt.Run([&] {
       auto counter = New<Counter>();  // lives on node 0
       auto driver = NewOn<Driver>(2);
@@ -255,7 +260,7 @@ TEST(ProfilerTest, AdvisorRecommendsMovingHotspotAndMoveHelps) {
       t.Join();
     });
     if (report != nullptr) {
-      *report = profiler.Finalize();
+      *report = prof::Profile(log);
     }
     return end;
   };
@@ -283,8 +288,8 @@ TEST(ProfilerTest, WriteJsonIsByteIdenticalAcrossRuns) {
     config.procs_per_node = 2;
     config.arena_bytes = size_t{128} << 20;
     Runtime rt(config);
-    prof::Profiler profiler;
-    rt.AddObserver(&profiler);
+    fdr::Recorder log(kWholeRun);
+    rt.AddObserver(&log);
     rt.Run([] {
       auto g = New<Guarded>();
       MoveTo(g, 1);
@@ -295,7 +300,7 @@ TEST(ProfilerTest, WriteJsonIsByteIdenticalAcrossRuns) {
       t1.Join();
       t2.Join();
     });
-    prof::ProfileReport report = profiler.Finalize();
+    prof::ProfileReport report = prof::Profile(log);
     report.name = "determinism";
     std::ostringstream out;
     report.WriteJson(out);
@@ -307,28 +312,48 @@ TEST(ProfilerTest, WriteJsonIsByteIdenticalAcrossRuns) {
   EXPECT_EQ(a, b);
 }
 
-// Reset forgets everything: a profiler reused across two runs reports only
-// the second.
-TEST(ProfilerTest, ResetClearsState) {
-  auto run = [](prof::Profiler& profiler) {
-    Runtime::Config config;
-    config.nodes = 1;
-    config.procs_per_node = 1;
-    config.arena_bytes = size_t{128} << 20;
-    Runtime rt(config);
-    rt.AddObserver(&profiler);
-    return rt.Run([] {
-      auto s = New<Spinner>();
+// Profiling is a pure function of the log: profiling it twice gives the
+// same bytes.
+TEST(ProfilerTest, ProfilingOneLogTwiceIsByteIdentical) {
+  Runtime::Config config;
+  config.nodes = 2;
+  config.procs_per_node = 2;
+  config.arena_bytes = size_t{128} << 20;
+  Runtime rt(config);
+  fdr::Recorder log(kWholeRun);
+  rt.AddObserver(&log);
+  rt.Run([] {
+    auto g = NewOn<Guarded>(1);
+    auto t1 = StartThread(g, &Guarded::Update);
+    auto t2 = StartThread(g, &Guarded::Update);
+    t1.Join();
+    t2.Join();
+  });
+  std::ostringstream a;
+  prof::Profile(log).WriteJson(a);
+  std::ostringstream b;
+  prof::Profile(log).WriteJson(b);
+  EXPECT_FALSE(a.str().empty());
+  EXPECT_EQ(a.str(), b.str());
+}
+
+// A log that dropped records is a partial run: Profile refuses it.
+TEST(ProfilerDeathTest, RefusesALogWithDrops) {
+  Runtime::Config config;
+  config.nodes = 1;
+  config.procs_per_node = 1;
+  config.arena_bytes = size_t{128} << 20;
+  Runtime rt(config);
+  fdr::Recorder log({.name = "windowed", .ring_capacity = 4});
+  rt.AddObserver(&log);
+  rt.Run([] {
+    auto s = New<Spinner>();
+    for (int i = 0; i < 4; ++i) {
       s.Call(&Spinner::Step);
-    });
-  };
-  prof::Profiler profiler;
-  run(profiler);
-  profiler.Reset();
-  const Time end = run(profiler);
-  prof::ProfileReport report = profiler.Finalize();
-  EXPECT_EQ(report.total_ns, end);
-  EXPECT_EQ(Sum(report.breakdown), report.total_ns);
+    }
+  });
+  ASSERT_GT(log.dropped(), 0);
+  EXPECT_DEATH(prof::Profile(log), "dropped .* records");
 }
 
 }  // namespace

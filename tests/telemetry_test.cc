@@ -66,10 +66,8 @@ ScenarioOutputs RunScenario(SelfProfiler* prof) {
   c.arena_bytes = size_t{128} << 20;
   Runtime rt(c);
   metrics::Registry reg;
-  prof::Profiler profiler;
   fdr::Recorder rec({.name = "telemetry_test"});
   rt.SetMetrics(&reg);
-  rt.AddObserver(&profiler);
   rec.AttachTo(rt);
   if (prof != nullptr) {
     prof->Enable();
@@ -92,7 +90,7 @@ ScenarioOutputs RunScenario(SelfProfiler* prof) {
   std::ostringstream m;
   reg.WriteJson(m);
   out.metrics_json = m.str();
-  prof::ProfileReport report = profiler.Finalize();
+  prof::ProfileReport report = prof::Profile(rec);
   report.name = "telemetry_test";
   std::ostringstream p;
   report.WriteJson(p);

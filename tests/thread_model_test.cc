@@ -1,8 +1,9 @@
 // Tests for amber::ThreadModel, the per-thread state the runtime keeps for
 // every observer: driven with synthetic events, it must record the cause
 // markers exactly as the profiler (priority rule) and the tracer / flight
-// recorder (last-armed rule) read them; driven by a real runtime, observers
-// must see it as it was before each event.
+// recorder (last-armed rule) read them, and cut each thread's lifetime into
+// segments that tile it exactly; driven by a real runtime, observers must
+// see it as it was before each event.
 
 #include "src/core/thread_model.h"
 
@@ -176,6 +177,140 @@ TEST(ThreadModelTest, FramesAndForEachOrder) {
   std::vector<ThreadId> seen;
   m.ForEach([&](ThreadId id, const ThreadModel::Thread&) { seen.push_back(id); });
   EXPECT_EQ(seen, (std::vector<ThreadId>{kT, 7})) << "exited threads stay, ascending id";
+}
+
+// --- Tiling --------------------------------------------------------------------
+
+// Keeps every closed segment with what a consumer's rule would read of the
+// thread at that moment.
+class Recording : public ThreadModel::Tiler {
+ public:
+  struct Closed {
+    ThreadModel::Segment seg;
+    std::vector<ThreadModel::Marker> markers;
+    bool rpc = false;
+    NodeId rpc_dst = -1;
+  };
+  void OnSegment(const ThreadModel::Segment& seg, const ThreadModel::Thread& t) override {
+    closed.push_back(Closed{seg, t.markers, t.rpc, t.rpc_dst});
+  }
+  std::vector<Closed> closed;
+};
+
+TEST(ThreadModelTest, SegmentsTileTheLifetimeWithTheirRulesInputs) {
+  ThreadModel m;
+  Recording rec;
+  m.AddTiler(&rec);
+  // The runtime's order: the segment ends, then the event applies.
+  auto dispatch = [&](Time when, NodeId node) {
+    m.EndSegment(kT, when, node);
+    m.OnThreadDispatch(when, node, kT, 0);
+  };
+  auto block = [&](Time when, NodeId node) {
+    m.EndSegment(kT, when, node);
+    m.OnThreadBlock(when, node, kT);
+  };
+  auto unblock = [&](Time when, NodeId node, ThreadId waker, Time wake_time) {
+    m.EndSegment(kT, when, node, waker, wake_time);
+    m.OnThreadUnblock(when, node, kT, waker, wake_time);
+  };
+  m.OnThreadCreate(10, 0, kT, "worker", 1);
+  dispatch(20, 0);
+  m.EndSegment(kT, 30, 0);
+  m.OnThreadPreempt(30, 0, kT);
+  dispatch(35, 0);
+  m.OnRpcRequest(40, 0, /*dst=*/1, 64, /*id=*/9, kT);
+  block(41, 0);
+  unblock(80, 0, 0, 80);  // retransmission timeout, no reply yet
+  dispatch(80, 0);        // zero-length ready stretch: skipped
+  m.OnRpcRetry(81, 0, 1, 9, 1, kT);
+  block(82, 0);
+  m.OnRpcResponse(90, 95, 1, 0, 64, 9);
+  unblock(95, 0, 0, 95);
+  dispatch(100, 0);
+  m.OnThreadJoin(110, 0, kT, /*target=*/5);
+  block(110, 0);
+  unblock(150, 0, /*waker=*/5, /*wake_time=*/148);
+  dispatch(150, 0);
+  m.OnThreadMigrate(160, 0, 1, kT, 512);
+  block(160, 0);
+  unblock(170, 1, 0, 170);  // arrival on node 1
+  dispatch(172, 1);
+  m.EndSegment(kT, 200, 1);
+  m.OnThreadExit(200, 1, kT);
+  m.EndSegment(kT, 210, 1);  // nothing is open after the exit
+
+  ASSERT_EQ(rec.closed.size(), 14u);
+  Time at = 10;  // the create
+  for (const Recording::Closed& c : rec.closed) {
+    EXPECT_EQ(c.seg.thread, kT);
+    EXPECT_EQ(c.seg.start, at) << "gap or overlap";
+    EXPECT_GT(c.seg.end, c.seg.start) << "zero-length segments are skipped";
+    at = c.seg.end;
+  }
+  EXPECT_EQ(at, 200) << "the tiling ends at the exit";
+
+  auto states = [&] {
+    std::vector<RunState> out;
+    for (const Recording::Closed& c : rec.closed) {
+      out.push_back(c.seg.state);
+    }
+    return out;
+  }();
+  const RunState R = RunState::kReady;
+  const RunState U = RunState::kRunning;
+  const RunState B = RunState::kBlocked;
+  EXPECT_EQ(states, (std::vector<RunState>{R, U, R, U, B, U, B, R, U, B, U, B, R, U}));
+
+  // The rpc block, ended by its timeout: both rules read an rpc to node 1.
+  const Recording::Closed& rpc = rec.closed[4];
+  ASSERT_EQ(rpc.markers.size(), 1u);
+  EXPECT_EQ(rpc.markers.back().kind, Kind::kRpc);
+  EXPECT_TRUE(rpc.rpc);
+  EXPECT_EQ(rpc.rpc_dst, 1);
+  // The retry's block: the last marker says retry (the tracer), the
+  // outstanding roundtrip says rpc (the profiler's rank).
+  const Recording::Closed& retry = rec.closed[6];
+  ASSERT_EQ(retry.markers.size(), 1u);
+  EXPECT_EQ(retry.markers.back().kind, Kind::kRetry);
+  EXPECT_TRUE(retry.rpc);
+  EXPECT_EQ(retry.seg.end, 95);
+  // The join: its target is armed, and the unblock carries the waker edge.
+  const Recording::Closed& join = rec.closed[9];
+  ASSERT_EQ(join.markers.size(), 1u);
+  EXPECT_EQ(join.markers.back().kind, Kind::kJoin);
+  EXPECT_EQ(join.markers.back().arg, 5);
+  EXPECT_EQ(join.seg.waker, 5u);
+  EXPECT_EQ(join.seg.wake_time, 148);
+  EXPECT_FALSE(join.rpc);
+  // The migration transit, ended on the destination node.
+  const Recording::Closed& transit = rec.closed[11];
+  ASSERT_EQ(transit.markers.size(), 1u);
+  EXPECT_EQ(transit.markers.back().kind, Kind::kMigration);
+  EXPECT_EQ(transit.seg.node, 1);
+  EXPECT_EQ(rec.closed[12].seg.node, 1);
+  // Running and ready stretches carry no wake edge.
+  EXPECT_EQ(rec.closed[13].seg.waker, 0u);
+}
+
+TEST(ThreadModelTest, EndAllSegmentsClosesLiveThreadsAtTheHorizon) {
+  ThreadModel m;
+  Recording rec;
+  m.AddTiler(&rec);
+  m.OnThreadCreate(10, 2, kT, "live", 1);
+  m.EndSegment(kT, 20, 2);
+  m.OnThreadDispatch(20, 2, kT, 10);
+  m.OnThreadCreate(15, 0, kT + 1, "gone", 1);
+  m.EndSegment(kT + 1, 18, 0);
+  m.OnThreadExit(18, 0, kT + 1);
+  rec.closed.clear();
+  m.EndAllSegments(50);
+  ASSERT_EQ(rec.closed.size(), 1u) << "only the live thread is open";
+  EXPECT_EQ(rec.closed[0].seg.thread, kT);
+  EXPECT_EQ(rec.closed[0].seg.state, RunState::kRunning);
+  EXPECT_EQ(rec.closed[0].seg.start, 20);
+  EXPECT_EQ(rec.closed[0].seg.end, 50);
+  EXPECT_EQ(rec.closed[0].seg.node, 2) << "on the node it was last seen on";
 }
 
 // --- The runtime's dispatch ------------------------------------------------------
