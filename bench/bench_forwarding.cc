@@ -6,7 +6,9 @@
 // invocation pays one thread hop per chain link; because every node along
 // the chain caches the final location, the second invocation is a single
 // direct hop regardless of k — the paper's "the object can be located
-// quickly on subsequent references".
+// quickly on subsequent references". Exits nonzero unless, for every k, the
+// first call takes k + 1 hops, the second takes 2, and the first call's time
+// rises with k.
 
 #include <cstdio>
 
@@ -39,6 +41,8 @@ class Driver : public Object {
 
 int main() {
   std::printf("Ablation A1 (par. 3.3): locate cost vs forwarding-chain length\n\n");
+  bool ok = true;
+  double prev_first_ms = 0;
   benchutil::Table table({"chain length", "first call (ms)", "second call (ms)",
                           "thread hops first", "thread hops second"});
   for (int k = 1; k <= 6; ++k) {
@@ -73,10 +77,18 @@ int main() {
     table.AddRow({std::to_string(k), benchutil::Fmt("%.2f", first_ms),
                   benchutil::Fmt("%.2f", second_ms), std::to_string(hops_first),
                   std::to_string(hops_second)});
+    if (hops_first != k + 1 || hops_second != 2 || first_ms <= prev_first_ms) {
+      std::printf("ERROR: chain length %d: first call %lld hops in %.2f ms (previous %.2f ms), "
+                  "second call %lld hops; expected %d, a rising time, and 2\n",
+                  k, static_cast<long long>(hops_first), first_ms, prev_first_ms,
+                  static_cast<long long>(hops_second), k + 1);
+      ok = false;
+    }
+    prev_first_ms = first_ms;
   }
   table.Print();
   std::printf(
       "\nFirst call cost grows linearly with chain length (one thread hop per link);\n"
       "after path compaction the second call is a constant two hops (there and back).\n");
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -579,6 +579,7 @@ void Runtime::DeleteObject(Object* obj) {
   AMBER_CHECK(tables_[static_cast<size_t>(node)]->IsResident(obj))
       << "DeleteObject must run where the object is resident";
   tables_[static_cast<size_t>(node)]->Erase(obj);
+  h.owner = kNoNode;  // a stale Ref used here must miss EnsureResident's fast path
   const NodeId home = gas_->HomeOf(obj);
   obj->~Object();  // virtual: destroys the complete object
   allocator(home).Free(obj);
@@ -710,6 +711,14 @@ void Runtime::EnsureResident(Object* obj, int64_t payload_bytes) {
   }
   ObjectHeader& h = Object::HeaderOf(obj);  // obj may dangle: report it below
   if (h.IsStackLocal()) {
+    return;
+  }
+  // The invoke-time check at the object's own address (§3.2): on the node
+  // the object lives on, `owner` is that node's resident bit. Only "is it
+  // me?" is read from it; every other answer comes from this node's table.
+  if (h.owner == here()) {
+    AMBER_DCHECK(tables_[static_cast<size_t>(h.owner)]->IsResident(obj))
+        << "owner " << h.owner << " does not mark " << obj << " resident";
     return;
   }
   ThreadObject* t = current_thread();
@@ -2168,6 +2177,14 @@ void Runtime::ValidateLocationInvariants() {
     const ObjectHeader& h = obj->amber_header();
     if (!e.live || h.IsMember() || h.IsStackLocal()) {
       return;
+    }
+    // The direction EnsureResident's fast path relies on: an up owner's own
+    // table marks the object resident, so `owner == here()` answers the
+    // residency check without a table probe.
+    AMBER_CHECK(h.owner >= 0 && h.owner < nodes()) << "live object " << obj << " has no owner";
+    if (!faulty || sim_->NodeUp(h.owner)) {
+      AMBER_CHECK(tables_[static_cast<size_t>(h.owner)]->IsResident(obj))
+          << "owner " << h.owner << " does not mark " << obj << " resident";
     }
     // Exactly one *up* node marks a mutable object resident, and it is the
     // owner — unless the owner itself is down, in which case nobody is.

@@ -496,7 +496,8 @@ class Runtime {
   mem::GlobalAddressSpace& address_space() { return *gas_; }
   mem::SegmentAllocator& allocator(NodeId node);
 
-  // Authoritative location (validation/tests only — never the protocol).
+  // Authoritative location (validation/tests only; the protocol reads
+  // `owner` solely to ask "resident here?").
   NodeId OwnerOf(const Object* obj) const;
 
   // Checks: each mutable object resident on exactly its owner node; all
@@ -529,10 +530,11 @@ class Runtime {
   };
 
   // Makes the calling thread co-resident with obj, following the forwarding
-  // chain with thread hops (mutable) or replica fetches (immutable). Under
-  // fault injection a hop into a dead node triggers chain repair (probe the
-  // reachable nodes, re-aim the hint) and, when the object itself is
-  // unreachable, the failure-handler contract.
+  // chain with thread hops (mutable) or replica fetches (immutable). An
+  // object whose header names this node as owner is resident here: that
+  // check needs no table probe. Under fault injection a hop into a dead node
+  // triggers chain repair (probe the reachable nodes, re-aim the hint) and,
+  // when the object itself is unreachable, the failure-handler contract.
   void EnsureResident(Object* obj, int64_t payload_bytes);
 
   // Resolves obj's current location with control-message roundtrips from the

@@ -10,8 +10,12 @@
 // its address (§3.3).
 //
 // The paper reads a descriptor at the object's own address, one memory read.
-// The nearest host equivalent is a FlatPtrMap: descriptors sit inline in one
-// slot array per node, found by a short linear probe from the address hash.
+// On the object's resident node this repo does the same: the header's
+// `owner` answers "resident here?" (Runtime::EnsureResident) with no table
+// probe. For every other node — forwarding hints, replicas, uninitialized
+// entries — the nearest host equivalent is a FlatPtrMap: descriptors sit
+// inline in one slot array per node, found by a short linear probe from the
+// address hash.
 //
 // Invariant (checked by tests): at any ordered point, exactly one node's
 // table marks a mutable object kResident, and every forwarding chain

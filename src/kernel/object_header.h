@@ -10,10 +10,15 @@
 // identity, home node, mobility linkage (attachment tree, §2.3), and the
 // immutability flag.
 //
-// `owner` is the authoritative current location. The location *protocol*
-// (forwarding chains, home-node fallback) never reads it — it is written by
-// migration, read by invariant checks and tests, and consulted only at
-// ordered points where the paper's kernel would hold the object's node lock.
+// `owner` is the authoritative current location, written in the same
+// ordered step as every resident/forward flip of the descriptor tables. The
+// location *protocol* asks it one question only: "is the object resident on
+// the node I am standing on?" (Runtime::EnsureResident's fast path) — the
+// resident node's own descriptor bit, read at the object's address as in
+// the paper. Where a non-resident object went (forwarding chains, home-node
+// fallback) is never learned from it. Otherwise it is read by invariant
+// checks and tests, and at ordered points where the paper's kernel would
+// hold the object's node lock.
 
 #ifndef AMBER_SRC_KERNEL_OBJECT_HEADER_H_
 #define AMBER_SRC_KERNEL_OBJECT_HEADER_H_
@@ -43,7 +48,7 @@ struct ObjectHeader {
   uint32_t magic = 0;
   uint32_t flags = 0;
   NodeId home = kNoNode;   // node owning the region the object was carved from
-  NodeId owner = kNoNode;  // authoritative location (validation only; see above)
+  NodeId owner = kNoNode;  // authoritative location; the protocol asks only "is it me?"
   uint64_t size = 0;       // usable segment size of the primary allocation
 
   // For member objects: the primary (containing) object whose location

@@ -139,6 +139,21 @@ TEST(RuntimeGuardTest, DanglingReferencePanicsOnUse) {
                "dangling");
 }
 
+TEST(RuntimeGuardTest, DanglingReferencePanicsOnUseAtTheDeletingNode) {
+  Runtime rt(TestConfig());
+  EXPECT_DEATH(rt.Run([&] {
+    auto a = New<Cell>();
+    Cell* raw = a.unchecked();
+    Delete(a);
+    // Used where it was deleted: the dead header must not answer the
+    // residency check, so the call reaches the home node's missing
+    // descriptor instead of running on the destroyed object.
+    Ref<Cell> stale(raw);
+    stale.Call(&Cell::Get);
+  }),
+               "dangling");
+}
+
 TEST(RuntimeGuardTest, BarrierRequiresParties) {
   Runtime rt(TestConfig());
   EXPECT_DEATH(rt.Run([] {
