@@ -85,9 +85,10 @@ void BM_EventQueueDepth1000(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueDepth1000);
 
-// Post+run at a steady depth of 64 with the capture sizes the simulator
-// posts most: 16 bytes (Sync), 32 (Wake), 40 (ReleaseProcessor) and 64
-// (the fault-checked net delivery).
+// Post+run at a steady depth of 64 with the capture sizes of the
+// simulator's closures: 16 bytes (spawn, timers), 32 (Wake), 40
+// (ReleaseProcessor) and 64 (the fault-checked net delivery). Syncs post
+// slot-less resume keys instead (BM_SyncRoundTrip, BM_SyncHandoff).
 void BM_EventQueueMixedCaptures(benchmark::State& state) {
   sim::EventQueue q;
   uint64_t sink = 0;
@@ -318,6 +319,54 @@ void BM_WireChecksum1K(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 1024);
 }
 BENCHMARK(BM_WireChecksum1K);
+
+// --- Kernel Sync ----------------------------------------------------------------------------
+
+// A fiber's Sync when its own resume key is the earliest event (one fiber,
+// otherwise empty queue): fiber -> kernel loop -> fiber, a full round trip.
+void BM_SyncRoundTrip(benchmark::State& state) {
+  sim::Kernel kernel(sim::Kernel::Config{});
+  sim::StackPool pool(64 * 1024);
+  void* stack = pool.Allocate();
+  kernel.Spawn(0, stack, pool.stack_size(), [&] {
+    for (auto _ : state) {
+      kernel.Sync();
+    }
+  });
+  kernel.Run();
+  pool.Free(stack);
+  state.SetItemsProcessed(state.iterations());  // Syncs
+}
+BENCHMARK(BM_SyncRoundTrip);
+
+// Two fibers on different nodes at the same virtual time, Syncing in turn:
+// when one Syncs, the other's resume key is next, so each Sync is a single
+// direct fiber-to-fiber switch that never enters the kernel loop.
+void BM_SyncHandoff(benchmark::State& state) {
+  sim::Kernel::Config config;
+  config.nodes = 2;
+  sim::Kernel kernel(config);
+  sim::StackPool pool(64 * 1024);
+  void* timed_stack = pool.Allocate();
+  void* partner_stack = pool.Allocate();
+  bool done = false;
+  kernel.Spawn(0, timed_stack, pool.stack_size(), [&] {
+    for (auto _ : state) {
+      kernel.Sync();
+    }
+    done = true;
+  });
+  kernel.Spawn(1, partner_stack, pool.stack_size(), [&] {
+    while (!done) {
+      kernel.Sync();
+    }
+  });
+  kernel.Run();
+  pool.Free(timed_stack);
+  pool.Free(partner_stack);
+  state.SetItemsProcessed(state.iterations() * 2);  // Syncs: the timed fiber's and the partner's
+}
+BENCHMARK(BM_SyncHandoff);
 
 // --- Whole-kernel throughput -------------------------------------------------------------
 

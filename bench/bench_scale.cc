@@ -146,6 +146,7 @@ int main(int argc, char** argv) {
   amber::Time virtual_end = 0;
   int64_t remote_pokes = 0;
   int64_t wall_ns = 0;
+  uint64_t kernel_events = 0;
   {
     Runtime rt(config);
     prof.Enable();
@@ -179,6 +180,7 @@ int main(int argc, char** argv) {
     });
     wall_ns = telemetry::NowNs() - wall_start;
     prof.Disable();
+    kernel_events = rt.sim().events_run();
   }
 
   // Final telemetry dumps (the periodic flush may have lagged the last
@@ -191,6 +193,13 @@ int main(int argc, char** argv) {
   }
 
   const int64_t events = prof.count(telemetry::Count::kEvents);
+  // The profiler counts events wherever they run: in the kernel loop, or
+  // on a fiber's stack when it hands off straight to the next fiber.
+  if (events != static_cast<int64_t>(kernel_events)) {
+    std::fprintf(stderr, "bench_scale: self-telemetry counted %lld events, the kernel ran %llu\n",
+                 static_cast<long long>(events), static_cast<unsigned long long>(kernel_events));
+    return 1;
+  }
   const double events_per_sec =
       wall_ns > 0 ? static_cast<double>(events) * 1e9 / static_cast<double>(wall_ns) : 0.0;
 

@@ -427,6 +427,9 @@ Time Runtime::Run(std::function<void()> main) {
   auto* t = new (mem) ThreadObject();
   AMBER_CHECK(pending_.back().primary == t);
   pending_.pop_back();
+  // Live like any constructed object (so invariant checks cover it), but
+  // not counted in objects_created_: no New made it.
+  objects_[t].live = 1;
   t->header_.flags |= kObjThread;
   t->header_.home = 0;
   t->header_.owner = 0;

@@ -1,12 +1,15 @@
 // Discrete-event queue with a virtual clock.
 //
-// Events are closures ordered by (time, sequence-number); the sequence number
-// makes ordering of simultaneous events deterministic (FIFO within a
-// timestamp), which in turn makes every simulation run bit-reproducible.
+// Events are ordered by (time, sequence-number); the sequence number makes
+// ordering of simultaneous events deterministic (FIFO within a timestamp),
+// which in turn makes every simulation run bit-reproducible. An event is
+// either a closure or a fiber resume: a bare key naming the fiber to switch
+// back into, which the kernel posts for every Sync.
 //
-// Layout: each pending closure lives in a fixed-size slot of a chunked slab
-// (chunks never move, so a running closure's slot stays valid while it posts
-// more events), and a 4-ary min-heap orders small {time, seq, slot} keys.
+// Layout: a 4-ary min-heap orders small {time, seq, ref} keys, where ref is
+// a tagged pointer: a closure's slot, or a fiber with the low bit set. Each
+// pending closure lives in a fixed-size slot of a chunked slab (chunks never
+// move, so a running closure's slot stays valid while it posts more events).
 // Captures up to kInlineBytes are constructed in the slot itself; larger or
 // over-aligned ones are boxed on the heap. Freed slots go on an intrusive
 // free list, so a steady-state simulation allocates nothing per event.
@@ -24,6 +27,7 @@
 
 #include "src/base/panic.h"
 #include "src/base/time.h"
+#include "src/sim/fiber.h"
 
 namespace sim {
 
@@ -40,7 +44,9 @@ class EventQueue {
   EventQueue() = default;
   ~EventQueue() {
     for (const Key& k : heap_) {
-      k.slot->ops->destroy(k.slot->storage);
+      if (!k.resume()) {
+        k.slot()->ops->destroy(k.slot()->storage);
+      }
     }
   }
 
@@ -60,23 +66,57 @@ class EventQueue {
       ::new (static_cast<void*>(slot->storage)) Fn*(new Fn(std::forward<F>(fn)));
       slot->ops = &kBoxed<Fn>;
     }
-    Push(Key{t, next_seq_++, slot});
+    Push(Key{t, next_seq_++, reinterpret_cast<uintptr_t>(slot)});
   }
 
-  // Runs the earliest pending event, advancing the clock to its timestamp.
-  // Returns false if no events remain. The closure stays in its slot while
-  // it runs (and may post further events); the slot is freed afterwards.
-  bool RunOne() {
+  // Schedules fiber f to resume at virtual time t: a key with no closure.
+  void PostResume(Time t, Fiber* f) {
+    AMBER_DCHECK(t >= now_) << "posting event in the past: " << t << " < " << now_;
+    Push(Key{t, next_seq_++, reinterpret_cast<uintptr_t>(f) | kResumeTag});
+  }
+
+  // Runs the earliest pending event, advancing the clock to its timestamp:
+  // a closure is run, a resume key is handed to resume(fiber). Returns false
+  // if no events remain. A closure stays in its slot while it runs (and may
+  // post further events); the slot is freed afterwards.
+  template <typename Resume>
+  bool RunOne(Resume&& resume) {
     if (heap_.empty()) {
       return false;
     }
     const Key top = heap_[0];
     PopTop();
     now_ = top.when;
-    top.slot->ops->run(top.slot->storage);
-    top.slot->next_free = free_;
-    free_ = top.slot;
+    if (top.resume()) {
+      resume(top.fiber());
+      return true;
+    }
+    Slot* slot = top.slot();
+    slot->ops->run(slot->storage);
+    slot->next_free = free_;
+    free_ = slot;
     return true;
+  }
+  // For a queue that holds closures only.
+  bool RunOne() {
+    return RunOne([](Fiber*) { AMBER_PANIC("resume key in a queue without a resume handler"); });
+  }
+
+  // The fiber whose resume key is the earliest pending event; nullptr when a
+  // closure is next or nothing is pending.
+  Fiber* NextResume() const {
+    return !heap_.empty() && heap_[0].resume() ? heap_[0].fiber() : nullptr;
+  }
+
+  // Removes the earliest pending event, which must be a resume key, and
+  // advances the clock to it: RunOne without the call, for a caller that
+  // switches to the fiber itself.
+  Fiber* TakeResume() {
+    AMBER_DCHECK(NextResume() != nullptr);
+    const Key top = heap_[0];
+    PopTop();
+    now_ = top.when;
+    return top.fiber();
   }
 
   bool Empty() const { return heap_.empty(); }
@@ -107,12 +147,19 @@ class EventQueue {
     };
     const Ops* ops;
   };
+  // Low bit of Key::ref: set for a fiber resume, clear for a closure's slot.
+  static constexpr uintptr_t kResumeTag = 1;
+  static_assert(alignof(Fiber) > kResumeTag && alignof(Slot) > kResumeTag);
   struct Key {
     Time when;
     uint64_t seq;
-    Slot* slot;
+    uintptr_t ref;
     bool operator<(const Key& o) const { return when != o.when ? when < o.when : seq < o.seq; }
+    bool resume() const { return (ref & kResumeTag) != 0; }
+    Fiber* fiber() const { return reinterpret_cast<Fiber*>(ref & ~kResumeTag); }
+    Slot* slot() const { return reinterpret_cast<Slot*>(ref); }
   };
+  static_assert(sizeof(Key) == 24, "heap keys stay three words");
 
   template <typename Fn>
   static Fn& Inline(void* p) {

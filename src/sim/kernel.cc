@@ -104,6 +104,7 @@ void Kernel::TryDispatch(NodeId node) {
   if (!ns.up) {
     return;  // crashed node: ready fibers park until restart
   }
+  dispatching_ = &ns;
   while (!ns.free_procs.empty() && !ns.queue->Empty()) {
     Fiber* f = ns.queue->Dequeue();
     AMBER_DCHECK(f->state == FiberState::kReady);
@@ -125,20 +126,57 @@ void Kernel::TryDispatch(NodeId node) {
     }
     RunFiberSlice(f);
   }
+  dispatching_ = nullptr;
+}
+
+void Kernel::Resume(Fiber* f) {
+  AMBER_DCHECK(f->state == FiberState::kRunning);
+  f->vtime = std::max(f->vtime, queue_.now());  // a spinner jumps to its resume time
+  RunFiberSlice(f);
 }
 
 void Kernel::RunFiberSlice(Fiber* f) {
   current_ = f;
-  if (telemetry::SelfProfiler::active() != nullptr) {
-    telemetry::ScopedWallTimer timer(telemetry::Bucket::kFiberRun);
+  if (prof_ != nullptr) {
+    slice_start_ = prof_->BeginScope(telemetry::Bucket::kFiberRun);
     Context::Switch(&kernel_ctx_, &f->ctx);
+    if (slice_start_ != 0) {
+      prof_->EndScope(telemetry::Bucket::kFiberRun, slice_start_);
+    }
   } else {
     Context::Switch(&kernel_ctx_, &f->ctx);
   }
   current_ = nullptr;
 }
 
-void Kernel::SwitchToKernel(Fiber* f) { Context::Switch(&f->ctx, &kernel_ctx_); }
+void Kernel::SwitchToKernel(Fiber* f) {
+  // To the kernel unless another fiber's resume key is next and the kernel
+  // is not about to dispatch again (the two guards of the header comment).
+  Fiber* next = queue_.NextResume();
+  if (next == nullptr || next == f ||
+      (dispatching_ != nullptr && !dispatching_->free_procs.empty() &&
+       !dispatching_->queue->Empty())) {
+    Context::Switch(&f->ctx, &kernel_ctx_);
+    return;
+  }
+  // Direct handoff: do here what the kernel would do next, without the
+  // round trip through its stack, telemetry included: close f's fiber_run
+  // slice, finish the loop iteration, run the resume key in a new slice.
+  if (prof_ != nullptr) {
+    if (slice_start_ != 0) {
+      prof_->EndScope(telemetry::Bucket::kFiberRun, slice_start_);
+    }
+    prof_->OnEventLoopIteration(queue_.now(), queue_.Size());
+  }
+  queue_.TakeResume();
+  AMBER_DCHECK(next->state == FiberState::kRunning);
+  next->vtime = std::max(next->vtime, queue_.now());
+  current_ = next;
+  if (prof_ != nullptr) {
+    slice_start_ = prof_->BeginScope(telemetry::Bucket::kFiberRun);
+  }
+  Context::Switch(&f->ctx, &next->ctx);
+}
 
 void Kernel::AfterResume(Fiber* f) {
   if (f->involuntary_resume) {
@@ -224,10 +262,7 @@ void Kernel::Charge(Duration d) {
 void Kernel::Sync() {
   AMBER_DCHECK(current_ != nullptr) << "Sync outside fiber context";
   Fiber* f = current_;
-  queue_.Post(f->vtime, [this, f] {
-    AMBER_DCHECK(f->state == FiberState::kRunning);
-    RunFiberSlice(f);
-  });
+  queue_.PostResume(f->vtime, f);
   SwitchToKernel(f);
   if (f->preempt_requested) {
     f->preempt_requested = false;
@@ -302,10 +337,7 @@ void Kernel::SpinResume(Fiber* f, Time t) {
   AMBER_DCHECK(t >= Now());
   AMBER_DCHECK(f->state == FiberState::kRunning && f->processor >= 0)
       << "SpinResume target is not spinning";
-  Post(t, [this, f] {
-    f->vtime = std::max(f->vtime, queue_.now());
-    RunFiberSlice(f);
-  });
+  queue_.PostResume(t, f);
 }
 
 void Kernel::Exit() {
@@ -396,17 +428,19 @@ Time Kernel::Run() {
   // which loop runs, and the instrumented one adds a single clock read per
   // iteration (consecutive timestamps are differenced, so each iteration's
   // wall cost needs only one NowNs call).
-  telemetry::SelfProfiler* prof = telemetry::SelfProfiler::active();
-  if (prof == nullptr) {
-    while (queue_.RunOne()) {
+  prof_ = telemetry::SelfProfiler::active();
+  const auto resume = [this](Fiber* f) { Resume(f); };
+  if (prof_ == nullptr) {
+    while (queue_.RunOne(resume)) {
     }
   } else {
-    prof->SetNodeCount(nodes());
-    prof->ResetLoopClock();
-    while (queue_.RunOne()) {
-      prof->OnEventLoopIteration(queue_.now(), queue_.Size());
+    prof_->SetNodeCount(nodes());
+    prof_->ResetLoopClock();
+    while (queue_.RunOne(resume)) {
+      prof_->OnEventLoopIteration(queue_.now(), queue_.Size());
     }
-    prof->SyncLoopClock();
+    prof_->SyncLoopClock();
+    prof_ = nullptr;
   }
   if (live_fibers_ > 0) {
     AMBER_LOG(kWarn) << "simulation ended with " << live_fibers_

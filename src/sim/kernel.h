@@ -16,6 +16,24 @@
 // the interleaving granularity by the scheduling quantum — the same
 // granularity at which a real multiprocessor node would service the §3.5
 // move-time preemption interrupt.
+//
+// A Sync (and a SpinResume) posts a resume key, not a closure: the event is
+// "switch back into this fiber". Closures remain for everything the kernel
+// does on a fiber's behalf — spawning, waking, timers, releasing a processor
+// on block, yield, travel or exit — and for the network and runtime.
+//
+// Direct handoff. Every switch out of a fiber goes through SwitchToKernel.
+// When the earliest pending event is another fiber's resume key, the
+// departing fiber pops it, advances the clock and switches straight to that
+// fiber, which is exactly what the kernel loop would do next. Two guards
+// keep the order exact. (1) No handoff while the kernel still has work in
+// the current event: TryDispatch, after a dispatched fiber's slice, may
+// dispatch another ready fiber on that node at the same time, so while its
+// node has a free processor and a non-empty run queue the fiber returns to
+// the kernel. The answer cannot change while handed-off fibers run: only
+// events free processors or fill run queues. (2) A fiber whose own key is next returns to the kernel too,
+// which switches straight back (a plain round trip, not elided). Event
+// order, seq numbering and events_run() are those of the kernel loop alone.
 
 #ifndef AMBER_SRC_SIM_KERNEL_H_
 #define AMBER_SRC_SIM_KERNEL_H_
@@ -32,6 +50,10 @@
 #include "src/sim/event_queue.h"
 #include "src/sim/fiber.h"
 #include "src/sim/run_queue.h"
+
+namespace telemetry {
+class SelfProfiler;
+}  // namespace telemetry
 
 namespace sim {
 
@@ -232,12 +254,18 @@ class Kernel {
 
   static void FiberEntry(void* arg);
 
+  // Runs a resume key's fiber (kernel context).
+  void Resume(Fiber* f);
+
   void EnqueueReady(Fiber* f, Time t);
   void TryDispatch(NodeId node);
-  // Switches into f until it switches back, timing the slice into the
-  // telemetry fiber_run bucket when a self-profiler is active.
+  // Switches into f until a fiber switches back to the kernel, timing each
+  // fiber's slice into the telemetry fiber_run bucket when a self-profiler
+  // is active (a handoff closes one slice and opens the next).
   void RunFiberSlice(Fiber* f);
   void ReleaseProcessorAndMaybeRequeue(Fiber* f, bool requeue);
+  // The one way out of a fiber: to the kernel, or by direct handoff to the
+  // fiber whose resume key is next (see the header comment).
   void SwitchToKernel(Fiber* f);
   void AfterResume(Fiber* f);
   // Preempts the running fiber at its current vtime (requeue + release).
@@ -250,6 +278,12 @@ class Kernel {
   std::vector<std::unique_ptr<Fiber>> fibers_;
   Fiber* current_ = nullptr;
   Context kernel_ctx_;
+  // The node whose TryDispatch loop the kernel is suspended in, if any.
+  NodeState* dispatching_ = nullptr;
+  // The self-profiler Run() found active, and the start of the open
+  // fiber_run scope (0 when the scope is not one of the sampled ones).
+  telemetry::SelfProfiler* prof_ = nullptr;
+  int64_t slice_start_ = 0;
   std::function<void(Fiber*)> resume_hook_;
   SchedObserver* sched_observer_ = nullptr;
   uint64_t next_fiber_id_ = 1;

@@ -358,36 +358,45 @@ TEST(FaultStatusTest, FailedThreadMigrationLeavesTheThreadOwnedAtItsSource) {
   // A thread that cannot reach a dead node stays on its source, and so must
   // its thread object's owner: EnsureResident answers "resident here?" from
   // `owner`, so a stale one would claim residence where the thread is not.
-  Runtime rt(TestConfig());
-  fault::FaultPlan plan;
-  fault::NodeEvent ev;
-  ev.node = 2;
-  ev.crash_at = Millis(10);
-  ev.restart_at = Millis(60);
-  plan.node_events.push_back(ev);
-  fault::Injector injector(plan);
-  rt.SetFaultInjector(&injector);
-  int unreachable = 0;
-  rt.SetFailureHandler([&](const FailureEvent&) {
-    // Checked while the failed travel has been reverted and the thread
-    // is still parked on its source.
-    rt.ValidateLocationInvariants();
-    ++unreachable;
-    return FailureAction::kRetry;
-  });
+  // Both kinds of thread are checked: a started one, and the main thread,
+  // which Runtime::Run materialises itself.
   class Prober : public Object {
    public:
     int Probe(Ref<Counter> c) { return c.Call(&Counter::Add, 1); }
   };
-  rt.Run([&] {
-    auto c = New<Counter>();
-    ASSERT_EQ(MoveTo(c, 2), Status::kOk);
-    auto p = New<Prober>();
-    Work(Millis(20));  // node 2 is down now
-    auto w = StartThread(p, &Prober::Probe, c);
-    EXPECT_EQ(w.Join(), 1);  // finished after node 2 restarted
-  });
-  EXPECT_GT(unreachable, 0);
+  for (const bool from_main : {false, true}) {
+    SCOPED_TRACE(from_main ? "main thread" : "started thread");
+    Runtime rt(TestConfig());
+    fault::FaultPlan plan;
+    fault::NodeEvent ev;
+    ev.node = 2;
+    ev.crash_at = Millis(10);
+    ev.restart_at = Millis(60);
+    plan.node_events.push_back(ev);
+    fault::Injector injector(plan);
+    rt.SetFaultInjector(&injector);
+    int unreachable = 0;
+    rt.SetFailureHandler([&](const FailureEvent&) {
+      // Checked while the failed travel has been reverted and the thread
+      // is still parked on its source.
+      rt.ValidateLocationInvariants();
+      ++unreachable;
+      return FailureAction::kRetry;
+    });
+    rt.Run([&] {
+      auto c = New<Counter>();
+      ASSERT_EQ(MoveTo(c, 2), Status::kOk);
+      auto p = New<Prober>();
+      Work(Millis(20));  // node 2 is down now
+      if (from_main) {
+        EXPECT_EQ(p.Call(&Prober::Probe, c), 1);  // finished after node 2 restarted
+      } else {
+        auto w = StartThread(p, &Prober::Probe, c);
+        EXPECT_EQ(w.Join(), 1);
+      }
+    });
+    EXPECT_GT(unreachable, 0);
+  }
 }
 
 // --- Heartbeat wire compatibility ---------------------------------------------

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <vector>
+
 #include "src/base/rng.h"
 #include "src/sim/kernel.h"
 #include "src/sim/stack_pool.h"
@@ -115,6 +118,147 @@ TEST_P(KernelStress, BitIdenticalReruns) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KernelStress,
                          ::testing::Values(0x1uLL, 0x7uLL, 0x2AuLL, 0xFEEDuLL, 0xC0FFEEuLL));
+
+// A seeded program over every way a fiber leaves the processor, reduced to
+// a digest of the order in which fibers observed their clocks. Workers on
+// nodes 0-2 mix charges that cross quanta, Syncs, Yields, travels, timed
+// sleeps, blocks woken by another fiber, spins resumed by another fiber and
+// early Exits; a waker on node 3, which workers never visit, wakes and
+// resumes them. Any change to event order (or to the clocks the fibers see)
+// changes the digest.
+struct ScheduleDigest {
+  uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a over (fiber id, vtime) pairs
+  size_t entries = 0;
+  int woken = 0;    // blocked fibers the waker woke
+  int resumed = 0;  // spinners the waker resumed
+  int exited = 0;   // workers that called Exit before their last step
+  void Add(uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      hash = (hash ^ ((word >> (8 * i)) & 0xff)) * 0x100000001b3ULL;
+    }
+  }
+  void Log(const Kernel& k) {
+    Add(k.current()->id);
+    Add(static_cast<uint64_t>(k.Now()));
+    ++entries;
+  }
+};
+
+ScheduleDigest RunScheduleProgram(uint64_t seed) {
+  constexpr int kWorkers = 14;
+  constexpr int kSteps = 40;
+  Kernel::Config config;
+  config.nodes = 4;
+  config.procs_per_node = 2;
+  config.cost.quantum = Millis(1);
+  Kernel kernel(config);
+  StackPool pool(64 * 1024);
+  std::vector<void*> stacks;
+  auto spawn = [&](NodeId node, std::function<void()> fn) {
+    void* stack = pool.Allocate();
+    stacks.push_back(stack);
+    kernel.Spawn(node, stack, pool.stack_size(), std::move(fn));
+  };
+  ScheduleDigest digest;
+  std::vector<Fiber*> parked;    // blocked, waiting for the waker
+  std::vector<Fiber*> spinners;  // spinning, waiting for the waker
+  int done = 0;
+  for (int i = 0; i < kWorkers; ++i) {
+    spawn(i % 3, [&, i] {
+      Kernel& k = kernel;
+      amber::Rng rng(seed * 0x9e3779b97f4a7c15ULL + static_cast<uint64_t>(i));
+      const int exit_at = i % 3 == 0 ? static_cast<int>(rng.Below(kSteps)) : kSteps;
+      for (int step = 0; step < kSteps; ++step) {
+        if (step == exit_at) {
+          ++done;
+          ++digest.exited;
+          k.Exit();
+        }
+        switch (rng.Below(8)) {
+          case 0:
+          case 1:
+            k.Charge(Micros(static_cast<double>(50 + rng.Below(2500))));
+            break;
+          case 2:
+            k.Sync();
+            break;
+          case 3:
+            k.Yield();
+            break;
+          case 4: {
+            k.Sync();
+            const NodeId dst = static_cast<NodeId>(rng.Below(3));
+            if (dst != k.current()->node) {
+              k.TravelTo(dst, k.Now() + Micros(150));
+            }
+            break;
+          }
+          case 5:
+            k.Sync();
+            k.Wake(k.current(), k.Now() + Micros(static_cast<double>(20 + rng.Below(700))));
+            k.Block();
+            break;
+          case 6:
+            k.Sync();
+            parked.push_back(k.current());
+            k.Block();
+            break;
+          default:
+            k.Sync();
+            spinners.push_back(k.current());
+            k.SpinWait();
+            // A resumed spinner keeps the quantum it had before the spin,
+            // which a long spin may have outlasted; Charge must not run on
+            // it, so give up the processor and get a fresh one.
+            k.Yield();
+            break;
+        }
+        digest.Log(k);
+      }
+      ++done;
+    });
+  }
+  spawn(3, [&] {
+    Kernel& k = kernel;
+    amber::Rng rng(seed);
+    while (done < kWorkers) {
+      k.Charge(Micros(97));
+      k.Sync();
+      for (Fiber* f : parked) {
+        k.Wake(f, k.Now() + Micros(static_cast<double>(rng.Below(50))));
+        ++digest.woken;
+      }
+      parked.clear();
+      for (Fiber* f : spinners) {
+        k.SpinResume(f, k.Now() + Micros(static_cast<double>(rng.Below(80))));
+        ++digest.resumed;
+      }
+      spinners.clear();
+      digest.Log(k);
+    }
+  });
+  const Time end = kernel.Run();
+  EXPECT_EQ(kernel.live_fibers(), 0) << "schedule program deadlocked";
+  digest.Add(static_cast<uint64_t>(end));
+  digest.Add(kernel.events_run());
+  digest.Add(kernel.dispatches());
+  digest.Add(kernel.preemptions());
+  for (void* s : stacks) {
+    pool.Free(s);
+  }
+  return digest;
+}
+
+// The pinned values come from a kernel in which every switch out of a fiber
+// returned to the kernel loop. Direct handoffs must reproduce them exactly.
+TEST(KernelScheduleTest, SeededProgramOrderMatchesThePinnedDigest) {
+  const ScheduleDigest d = RunScheduleProgram(20261020);
+  EXPECT_GT(d.woken, 0);
+  EXPECT_GT(d.resumed, 0);
+  EXPECT_GT(d.exited, 0);
+  EXPECT_EQ(d.entries, 991u);
+  EXPECT_EQ(d.hash, 7967207711574612032ULL);
+}
 
 }  // namespace
 }  // namespace sim

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/base/time.h"
@@ -294,6 +295,37 @@ TEST(KernelTest, DestroyFiberReclaimsRecord) {
   Fiber* f = h.Go(0, [] {});
   h.k().Run();
   h.k().DestroyFiber(f);  // must not crash; fiber is finished
+}
+
+TEST(KernelTest, SecondDispatchRunsBeforeAnotherFibersResume) {
+  // Node 0 (two processors) comes up at 1 ms with fibers a and b queued, so
+  // one TryDispatch runs both. When a Syncs, the earliest pending event is
+  // g's resume key, yet the kernel has not finished: b still waits for the
+  // free processor at the same time. b must run before g.
+  constexpr Time kUp = Millis(1);
+  Harness h(2, 2, FreeCpu());
+  std::vector<std::string> log;
+  h.k().SetNodeUp(0, false);
+  h.Go(0, [&] {
+    log.push_back("a");
+    h.k().Sync();
+    log.push_back("a2");
+  });
+  h.Go(0, [&] {
+    log.push_back("b");
+    h.k().Sync();
+    log.push_back("b2");
+  });
+  h.Go(1, [&] {
+    h.k().Charge(kUp);
+    h.k().Sync();  // runs after the node-up event below posts TryDispatch
+    h.k().Sync();  // so this key (1 ms) sorts after it, before a's
+    log.push_back("g");
+  });
+  h.k().Post(kUp, [&] { h.k().SetNodeUp(0, true); });
+  h.k().Run();
+  EXPECT_EQ(log, (std::vector<std::string>{"a", "b", "g", "a2", "b2"}));
+  EXPECT_EQ(h.k().dispatches(), 3u);
 }
 
 TEST(EventQueueTest, OrdersByTimeThenSequence) {

@@ -203,20 +203,36 @@ TEST(EventQueueTest, NextTimePeeksEarliest) {
 }
 
 // The event queue as it was before slots and the 4-ary heap: a
-// std::priority_queue of std::function events with the same contract. The
+// std::priority_queue of std::function events with the same contract, plus
+// resume keys (an event holding a fiber instead of a closure). The
 // differential test below holds EventQueue to it.
 class ReferenceQueue {
  public:
-  void Post(Time t, std::function<void()> fn) { heap_.push(Event{t, next_seq_++, std::move(fn)}); }
-  bool RunOne() {
+  void Post(Time t, std::function<void()> fn) {
+    heap_.push(Event{t, next_seq_++, std::move(fn), nullptr});
+  }
+  void PostResume(Time t, Fiber* f) { heap_.push(Event{t, next_seq_++, nullptr, f}); }
+  template <typename Resume>
+  bool RunOne(Resume&& resume) {
     if (heap_.empty()) {
       return false;
     }
     Event ev = std::move(const_cast<Event&>(heap_.top()));
     heap_.pop();
     now_ = ev.when;
-    ev.fn();
+    if (ev.fiber != nullptr) {
+      resume(ev.fiber);
+    } else {
+      ev.fn();
+    }
     return true;
+  }
+  Fiber* NextResume() const { return heap_.empty() ? nullptr : heap_.top().fiber; }
+  Fiber* TakeResume() {
+    Fiber* f = heap_.top().fiber;
+    now_ = heap_.top().when;
+    heap_.pop();
+    return f;
   }
   Time now() const { return now_; }
   size_t Size() const { return heap_.size(); }
@@ -227,6 +243,7 @@ class ReferenceQueue {
     Time when;
     uint64_t seq;
     std::function<void()> fn;
+    Fiber* fiber;
   };
   struct Later {
     bool operator()(const Event& a, const Event& b) const {
@@ -250,7 +267,9 @@ uint64_t Mix(uint64_t x) {  // splitmix64's finaliser
 // what it saw, and posts 0-2 children from inside itself. Delays are mostly
 // 0-3 ns, so many events share a timestamp. Captures are 16, 32, 40 and 64
 // bytes (inline) or 104 bytes (boxed), mixed, so freed slots are reused by
-// closures of other sizes.
+// closures of other sizes. One post in six is a resume key for one of eight
+// fibers instead; when one is next, the program sometimes takes it with
+// TakeResume, as the kernel's direct handoff does, instead of RunOne.
 struct Entry {  // what one event saw while it ran
   uint64_t id;
   Time now;
@@ -266,20 +285,37 @@ class Program {
  public:
   std::vector<Entry> Run(uint64_t seed, uint64_t min_posts) {
     std::mt19937_64 rng(seed);
+    for (size_t i = 0; i < fibers_.size(); ++i) {
+      fibers_[i].id = i;
+    }
+    const auto resume = [this](Fiber* f) { Resumed(f); };
     while (posts_ < min_posts) {
       for (int burst = static_cast<int>(rng() % 4); burst > 0; --burst) {
         Post(q_.now() + Delay(rng()));
       }
       for (int steps = static_cast<int>(rng() % 6); steps > 0; --steps) {
-        q_.RunOne();
+        const bool take = rng() % 2 == 0;
+        if (Fiber* f = q_.NextResume(); f != nullptr && take) {
+          const uint64_t run_before = q_.events_run();
+          ++taken_;
+          took_right_fiber_ = took_right_fiber_ && q_.TakeResume() == f &&
+                              q_.events_run() == run_before + 1;
+          Resumed(f);
+        } else {
+          q_.RunOne(resume);
+        }
       }
     }
-    while (q_.RunOne()) {
+    while (q_.RunOne(resume)) {
     }
     return std::move(log_);
   }
   uint64_t posts() const { return posts_; }
+  uint64_t resumes() const { return resumes_; }
+  uint64_t taken() const { return taken_; }
   bool captures_intact() const { return captures_intact_; }
+  bool took_right_fiber() const { return took_right_fiber_; }
+  static constexpr uint64_t kResumed = uint64_t{1} << 63;  // marks a resume in Entry::id
 
  private:
   static Duration Delay(uint64_t h) {
@@ -290,12 +326,13 @@ class Program {
   void Post(Time when) {
     const uint64_t id = next_id_++;
     ++posts_;
-    switch (Mix(id) % 5) {
+    switch (Mix(id) % 6) {
       case 0: PostSized<1>(when, id); break;
       case 1: PostSized<3>(when, id); break;
       case 2: PostSized<4>(when, id); break;
       case 3: PostSized<7>(when, id); break;
-      default: PostSized<12>(when, id); break;
+      case 4: PostSized<12>(when, id); break;
+      default: q_.PostResume(when, &fibers_[id % fibers_.size()]); break;
     }
   }
 
@@ -313,6 +350,15 @@ class Program {
     for (size_t i = 0; i < n; ++i) {
       captures_intact_ = captures_intact_ && words[i] == id + i;
     }
+    Log(id);
+  }
+
+  void Resumed(Fiber* f) {
+    ++resumes_;
+    Log(kResumed | (f->id ^ static_cast<uint64_t>(q_.now()) << 8));
+  }
+
+  void Log(uint64_t id) {
     log_.push_back(Entry{id, q_.now(), q_.events_run(), q_.Size()});
     const uint64_t h = Mix(id ^ 0x5eedULL);
     static constexpr int kChildren[] = {0, 0, 1, 1, 2};
@@ -322,10 +368,14 @@ class Program {
   }
 
   Queue q_;
+  std::array<Fiber, 8> fibers_;
   std::vector<Entry> log_;
   uint64_t next_id_ = 0;
   uint64_t posts_ = 0;
+  uint64_t resumes_ = 0;
+  uint64_t taken_ = 0;
   bool captures_intact_ = true;
+  bool took_right_fiber_ = true;
 };
 
 TEST(EventQueueTest, MatchesPriorityQueueReferenceOnAFixedSeedProgram) {
@@ -337,6 +387,10 @@ TEST(EventQueueTest, MatchesPriorityQueueReferenceOnAFixedSeedProgram) {
   const auto want = ref.Run(kSeed, kMinPosts);
   EXPECT_TRUE(real.captures_intact());
   EXPECT_TRUE(ref.captures_intact());
+  EXPECT_TRUE(real.took_right_fiber()) << "TakeResume pops NextResume's key and counts it as run";
+  EXPECT_GT(real.resumes(), real.posts() / 8) << "resume keys should be interleaved throughout";
+  EXPECT_GT(real.taken(), real.resumes() / 8) << "and some taken directly";
+  EXPECT_EQ(real.taken(), ref.taken());
   ASSERT_GE(real.posts(), kMinPosts);
   ASSERT_EQ(real.posts(), ref.posts());
   ASSERT_EQ(got.size(), want.size());
@@ -362,6 +416,10 @@ struct Counted {
 TEST(EventQueueTest, DestroysPendingClosuresExactlyOnce) {
   int alive = 0;
   int ran = 0;
+  int resumed = 0;
+  // Resume keys for these interleave with the closures; a key names a
+  // fiber the queue does not own, so ~EventQueue must leave it alone.
+  std::array<Fiber, 3> fibers;
   {
     EventQueue q;
     for (int i = 0; i < 600; ++i) {  // more than one chunk of slots
@@ -372,16 +430,24 @@ TEST(EventQueueTest, DestroysPendingClosuresExactlyOnce) {
         const std::array<char, 200> big{};  // boxed
         q.Post(i, [c, big, &ran] { ran += 1 + big[0]; });
       }
+      if (i % 3 == 0) {
+        q.PostResume(i, &fibers[static_cast<size_t>(i) % fibers.size()]);
+      }
     }
     EXPECT_EQ(alive, 600);
-    for (int i = 0; i < 250; ++i) {
-      q.RunOne();
+    EXPECT_EQ(q.Size(), 800u);
+    for (int i = 0; i < 350; ++i) {
+      q.RunOne([&](Fiber*) { ++resumed; });
     }
-    EXPECT_EQ(ran, 250);
-    EXPECT_EQ(alive, 350);
+    // Times 0-261: 262 closures and the 88 keys at 0, 3, ..., 261.
+    EXPECT_EQ(resumed, 88);
+    EXPECT_EQ(ran, 262);
+    EXPECT_EQ(alive, 338);
+    EXPECT_EQ(q.events_run(), 350u) << "resume keys count as events run";
   }
   EXPECT_EQ(alive, 0) << "~EventQueue must destroy each pending closure once";
-  EXPECT_EQ(ran, 250);
+  EXPECT_EQ(ran, 262);
+  EXPECT_EQ(resumed, 88);
 }
 
 TEST(EventQueueTest, AcceptsMoveOnlyCaptures) {
